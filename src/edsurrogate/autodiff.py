@@ -229,44 +229,43 @@ def tile_axis(a, axis, reps):
     return DiffNode(np.broadcast_to(a.values, shape).copy(), "tile_axis", (a,), meta=axis)
 
 
-def pad_cols(a, left, right):
-    """Zero-pad columns of a 2-d node."""
-    _require_2d(a, "pad_cols")
-    values = np.zeros((a.shape[0], a.shape[1] + left + right))
-    values[:, left : left + a.shape[1]] = a.values
-    return DiffNode(values, "pad_cols", (a,), meta=(left, right))
+def _segment_width(a, segments, op):
+    _require_2d(a, op)
+    if segments < 1 or a.shape[1] % segments != 0:
+        raise ShapeError(f"{op}: {a.shape[1]} columns do not split into {segments} segments")
+    return a.shape[1] // segments
 
 
-def slice_cols(a, start, stop):
-    _require_2d(a, "slice_cols")
-    if not 0 <= start <= stop <= a.shape[1]:
-        raise ShapeError(f"slice_cols: [{start}:{stop}] outside {a.shape}")
-    return DiffNode(a.values[:, start:stop].copy(), "slice_cols", (a,), meta=(start, a.shape[1]))
+def unfold_segments(a, kernel, segments):
+    """(C, S*w) -> (C*kernel, S*w) sliding windows, row-major taps.
+
+    The columns hold S segments of width w side by side; each segment is
+    zero-padded by (kernel - 1) // 2 on both sides on its own, so windows
+    never reach across a segment boundary.
+    """
+    width = _segment_width(a, segments, "unfold_segments")
+    if kernel < 1 or kernel % 2 == 0:
+        raise ShapeError(f"unfold_segments: kernel {kernel} must be odd")
+    c, pad = a.shape[0], (kernel - 1) // 2
+    padded = np.zeros((c, segments, width + 2 * pad))
+    padded[:, :, pad : pad + width] = a.values.reshape(c, segments, width)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, kernel, axis=2)
+    values = np.ascontiguousarray(windows.transpose(0, 3, 1, 2)).reshape(c * kernel, -1)
+    return DiffNode(values, "unfold_segments", (a,), meta=(kernel, segments))
 
 
-def unfold_cols(a, kernel):
-    """(C, L) -> (C*kernel, L-kernel+1) sliding windows, row-major taps."""
-    _require_2d(a, "unfold_cols")
-    c, length = a.shape
-    if kernel < 1 or kernel > length:
-        raise ShapeError(f"unfold_cols: kernel {kernel} vs length {length}")
-    windows = np.lib.stride_tricks.sliding_window_view(a.values, kernel, axis=1)
-    values = np.ascontiguousarray(windows.transpose(0, 2, 1)).reshape(c * kernel, -1)
-    return DiffNode(values, "unfold_cols", (a,), meta=(kernel, length))
-
-
-def fold_cols(a, kernel, out_length):
-    """Adjoint of unfold_cols: scatter-add windows back to (C, out_length)."""
-    _require_2d(a, "fold_cols")
-    rows, n_windows = a.shape
-    if rows % kernel != 0 or n_windows != out_length - kernel + 1:
-        raise ShapeError(f"fold_cols: shape {a.shape} with kernel {kernel} -> {out_length}")
-    c = rows // kernel
-    cube = a.values.reshape(c, kernel, n_windows)
-    values = np.zeros((c, out_length))
+def fold_segments(a, kernel, segments):
+    """Adjoint of unfold_segments: scatter-add windows back to (C, S*w)."""
+    width = _segment_width(a, segments, "fold_segments")
+    if kernel < 1 or kernel % 2 == 0 or a.shape[0] % kernel != 0:
+        raise ShapeError(f"fold_segments: shape {a.shape} with kernel {kernel}")
+    c, pad = a.shape[0] // kernel, (kernel - 1) // 2
+    cube = a.values.reshape(c, kernel, segments, width)
+    padded = np.zeros((c, segments, width + 2 * pad))
     for j in range(kernel):
-        values[:, j : j + n_windows] += cube[:, j, :]
-    return DiffNode(values, "fold_cols", (a,), meta=(kernel, out_length))
+        padded[:, :, j : j + width] += cube[:, j]
+    values = padded[:, :, pad : pad + width].reshape(c, segments * width)
+    return DiffNode(values, "fold_segments", (a,), meta=(kernel, segments))
 
 
 # ---------------------------------------------------------------------------
@@ -381,25 +380,12 @@ def _vjp_tile_axis(node, g, needed):
     return (sum_axis(g, node.meta),)
 
 
-def _vjp_pad_cols(node, g, needed):
-    (a,) = node.parents
-    left, _ = node.meta
-    return (slice_cols(g, left, left + a.shape[1]),)
+def _vjp_unfold_segments(node, g, needed):
+    return (fold_segments(g, *node.meta),)
 
 
-def _vjp_slice_cols(node, g, needed):
-    start, total = node.meta
-    return (pad_cols(g, start, total - start - node.shape[1]),)
-
-
-def _vjp_unfold_cols(node, g, needed):
-    kernel, length = node.meta
-    return (fold_cols(g, kernel, length),)
-
-
-def _vjp_fold_cols(node, g, needed):
-    kernel, _ = node.meta
-    return (unfold_cols(g, kernel),)
+def _vjp_fold_segments(node, g, needed):
+    return (unfold_segments(g, *node.meta),)
 
 
 _VJPS = {
@@ -425,10 +411,8 @@ _VJPS = {
     "broadcast_to": _vjp_broadcast_to,
     "sum_axis": _vjp_sum_axis,
     "tile_axis": _vjp_tile_axis,
-    "pad_cols": _vjp_pad_cols,
-    "slice_cols": _vjp_slice_cols,
-    "unfold_cols": _vjp_unfold_cols,
-    "fold_cols": _vjp_fold_cols,
+    "unfold_segments": _vjp_unfold_segments,
+    "fold_segments": _vjp_fold_segments,
 }
 
 
@@ -472,10 +456,12 @@ def linear(weight, x, bias=None):
     return out
 
 
-def conv1d(x, weight, bias=None, padding=0):
-    """1-d convolution over columns, stride 1, explicit zero padding.
+def conv1d(x, weight, bias=None, segments=1):
+    """Same-padded 1-d convolution over columns, stride 1.
 
-    x: (C_in, L); weight: (C_out, C_in, K); bias: (C_out, 1) or None.
+    x: (C_in, S*L) holding S segments of width L side by side, each
+    convolved on its own; weight: (C_out, C_in, K) with K odd;
+    bias: (C_out, 1) or None.
     """
     _require_2d(x, "conv1d")
     if weight.ndim != 3:
@@ -483,12 +469,23 @@ def conv1d(x, weight, bias=None, padding=0):
     c_out, c_in, kernel = weight.shape
     if c_in != x.shape[0]:
         raise ShapeError(f"conv1d: input channels {x.shape[0]} vs weight {c_in}")
-    padded = pad_cols(x, padding, padding) if padding else x
-    columns = unfold_cols(padded, kernel)
+    columns = unfold_segments(x, kernel, segments)
     out = matmul(reshape(weight, (c_out, c_in * kernel)), columns)
     if bias is not None:
         out = add(out, tile_axis(bias, 1, out.shape[1]))
     return out
+
+
+def segment_sum(a, segments):
+    """(C, S*w) -> (C, S): the sum over each w-wide column block."""
+    width = _segment_width(a, segments, "segment_sum")
+    rows = a.shape[0]
+    return reshape(sum_axis(reshape(a, (rows * segments, width)), 1), (rows, segments))
+
+
+def segment_norms(a, segments, eps=EPS_NORM):
+    """(C, S*w) -> (1, S): l2_norm_eps of each w-wide column block."""
+    return sqrt(add_scalar(sum_axis(segment_sum(square(a), segments), 0), eps))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError
 from .evaluation import (
     evaluate_model,
@@ -231,9 +233,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # Every package error type subclasses ValueError.
+    # Every package error type subclasses ValueError. A non-finite value
+    # raises NumericError from the graph's own check, so numpy's
+    # floating-point warnings would only repeat it on extra lines.
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

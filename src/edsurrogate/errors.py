@@ -13,7 +13,7 @@ class ShapeError(ValueError):
     """Operands or parameters have incompatible shapes."""
 
 
-class NumericError(ArithmeticError):
+class NumericError(ValueError, ArithmeticError):
     """A non-finite value (NaN/Inf) was produced or supplied."""
 
 

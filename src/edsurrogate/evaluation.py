@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+from .blas import one_blas_thread
 from .errors import ConfigError
 from .recognizer import RecognizerNet, WordImage, load_recognizer, recognize
 from .text_metrics import Alphabet, MetricsReport, decode_greedy, evaluate_set
@@ -19,7 +20,12 @@ LOG_HEADER = "epoch,phase,iteration,sample_index,e,e_hat,loss,gate_open"
 METRICS_HEADER = "sample_index,gt,pred,ed"
 SCATTER_HEADER = "e,e_hat,iteration"
 
+# Images per evaluation graph. A whole split in one graph would hold every
+# intermediate activation at once; fixed chunks bound the peak memory.
+EVAL_CHUNK = 32
 
+
+@one_blas_thread()
 def evaluate_model(
     model, images: list[WordImage], alphabet: Alphabet, dataset_id: str = ""
 ) -> MetricsReport:
@@ -31,7 +37,11 @@ def evaluate_model(
         )
     if not images:
         raise ConfigError("empty evaluation split")
-    preds = [decode_greedy(recognize(image, net), alphabet) for image in images]
+    preds = [
+        decode_greedy(grid, alphabet)
+        for start in range(0, len(images), EVAL_CHUNK)
+        for grid in recognize(images[start : start + EVAL_CHUNK], net)
+    ]
     return evaluate_set(preds, [image.label for image in images], dataset_id)
 
 
@@ -59,10 +69,18 @@ def write_metrics_csv(path, report: MetricsReport) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_metrics_csv(path) -> list[tuple[int, str, str, int]]:
+def _read_lines(path, header: str, skip: int = 0) -> list[str]:
+    """The file's lines, after checking that line `skip` is `header`."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if lines[0] != METRICS_HEADER:
-        raise ValueError(f"unexpected metrics header {lines[0]!r}")
+    if len(lines) <= skip:
+        raise ValueError(f"{path}: no header line, expected {header!r}")
+    if lines[skip] != header:
+        raise ValueError(f"{path}: unexpected header {lines[skip]!r}")
+    return lines
+
+
+def read_metrics_csv(path) -> list[tuple[int, str, str, int]]:
+    lines = _read_lines(path, METRICS_HEADER)
     rows = []
     for line in lines[1:]:
         index, gt, pred, ed = line.split(",")
@@ -81,9 +99,7 @@ def write_log_csv(path, records: list[PhaseLogRecord]) -> None:
 
 
 def read_log_csv(path) -> list[PhaseLogRecord]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if lines[0] != LOG_HEADER:
-        raise ValueError(f"unexpected log header {lines[0]!r}")
+    lines = _read_lines(path, LOG_HEADER)
     records = []
     for line in lines[1:]:
         epoch, phase, iteration, sample_index, e, e_hat, loss, gate = line.split(",")
@@ -130,12 +146,10 @@ def export_scatter(
 
 
 def read_scatter_csv(path) -> tuple[float, list[tuple[int, float, int]]]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = _read_lines(path, SCATTER_HEADER, skip=1)
     if not lines[0].startswith("# lambda="):
         raise ValueError("missing lambda metadata line")
     lam = float(lines[0].split("=", 1)[1])
-    if lines[1] != SCATTER_HEADER:
-        raise ValueError(f"unexpected scatter header {lines[1]!r}")
     rows = []
     for line in lines[2:]:
         e, e_hat, iteration = line.split(",")

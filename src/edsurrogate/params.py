@@ -22,6 +22,10 @@ from .errors import CheckpointError, ShapeError
 MAGIC = b"FEDS"
 FORMAT_VERSION = 1
 
+META_SLOPE = "meta.slope"
+META_SEED = "meta.seed"
+MAX_EXACT_SEED = 2**53  # largest seed a float64 tensor holds exactly
+
 
 class ParamStore:
     """Ordered mapping of unique names to leaf DiffNodes with stable shapes."""
@@ -97,6 +101,34 @@ def _read_u32(fh) -> int:
     if len(raw) != 4:
         raise CheckpointError("truncated checkpoint")
     return struct.unpack("<I", raw)[0]
+
+
+def network_meta(slope: float, seed: int) -> dict[str, np.ndarray]:
+    """Meta tensors for the network config fields that tensor shapes do not
+    carry: the LeakyReLU slope and the init seed."""
+    if not 0 <= seed <= MAX_EXACT_SEED:
+        raise CheckpointError(f"seed {seed} cannot be stored exactly")
+    return {META_SLOPE: np.array([float(slope)]), META_SEED: np.array([float(seed)])}
+
+
+def pop_network_meta(arrays: dict[str, np.ndarray]) -> dict:
+    """Remove the meta tensors written by network_meta and return them as
+    config fields. Files written before they existed lack them; the config
+    defaults then apply."""
+    fields = {}
+    for name, field in ((META_SLOPE, "slope"), (META_SEED, "seed")):
+        if name not in arrays:
+            continue
+        value = arrays.pop(name)
+        if value.shape != (1,):
+            raise CheckpointError(f"meta tensor {name!r} has shape {value.shape}")
+        fields[field] = float(value[0])
+    if "seed" in fields:
+        seed = fields["seed"]
+        if not (seed.is_integer() and 0 <= seed <= MAX_EXACT_SEED):
+            raise CheckpointError(f"meta tensor {META_SEED!r} holds {seed!r}, not a seed")
+        fields["seed"] = int(seed)
+    return fields
 
 
 def save_checkpoint(path, header: CheckpointHeader, arrays: dict[str, np.ndarray]) -> None:

@@ -3,11 +3,13 @@
 The image is treated as a length-W sequence of H-dimensional columns.
 A conv1d stack produces per-column features, non-overlapping average
 pooling maps the W positions onto the L character slots, and a linear
-head with column softmax yields the grid.
+head with column softmax yields the grid. A batch of B images runs as one
+graph: the images sit side by side as B column segments of width W.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,8 +17,15 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import DiffNode
 from .errors import CheckpointError, ConfigError, NumericError, ShapeError
-from .params import CheckpointHeader, ParamStore, load_checkpoint, save_checkpoint
-from .text_metrics import CharGrid
+from .params import (
+    CheckpointHeader,
+    ParamStore,
+    load_checkpoint,
+    network_meta,
+    pop_network_meta,
+    save_checkpoint,
+)
+from .text_metrics import CharGrid, split_grids
 
 META_IMAGE_SHAPE = "meta.image_shape"
 
@@ -75,15 +84,6 @@ def _uniform_init(rng, shape, fan_in):
     return rng.uniform(-bound, bound, size=shape)
 
 
-def _pooling_matrix(width: int, capacity: int) -> np.ndarray:
-    """(W, L) constant averaging each stride-sized block of columns."""
-    stride = width // capacity
-    pool = np.zeros((width, capacity))
-    for slot in range(capacity):
-        pool[slot * stride : (slot + 1) * stride, slot] = 1.0 / stride
-    return pool
-
-
 class RecognizerNet:
     """Conv stack over image columns + per-position linear head."""
 
@@ -104,55 +104,73 @@ class RecognizerNet:
             "head.weight", _uniform_init(rng, (config.alphabet_size, c_in), c_in)
         )
         self.params.add("head.bias", _uniform_init(rng, (config.alphabet_size, 1), c_in))
-        self._pool = ad.constant(_pooling_matrix(config.image_width, config.capacity))
 
 
-def forward(image: WordImage, net: RecognizerNet) -> DiffNode:
-    """Soft-max grid as a graph node, differentiable w.r.t. the weights."""
+def forward(images: WordImage | Sequence[WordImage], net: RecognizerNet) -> DiffNode:
+    """Soft-max grids as one graph node, differentiable w.r.t. the weights.
+
+    One image gives its (|A|, L) grid; a sequence of B images gives the
+    (|A|, B*L) node whose b-th L-wide column block is image b's grid.
+    """
     config = net.config
-    if image.pixels.shape != (config.image_height, config.image_width):
-        raise ConfigError(
-            f"image shape {image.pixels.shape} does not match net "
-            f"({config.image_height}, {config.image_width})"
-        )
-    x = ad.constant(image.pixels)
-    pad = (config.kernel - 1) // 2
+    batch = [images] if isinstance(images, WordImage) else list(images)
+    if not batch:
+        raise ConfigError("empty image batch")
+    for image in batch:
+        if image.pixels.shape != (config.image_height, config.image_width):
+            raise ConfigError(
+                f"image shape {image.pixels.shape} does not match net "
+                f"({config.image_height}, {config.image_width})"
+            )
+    x = ad.constant(np.concatenate([image.pixels for image in batch], axis=1))
     for i in range(len(config.channels)):
         x = ad.conv1d(
-            x, net.params.node(f"conv{i}.weight"), net.params.node(f"conv{i}.bias"), pad
+            x, net.params.node(f"conv{i}.weight"), net.params.node(f"conv{i}.bias"), len(batch)
         )
         x = ad.leaky_relu(x, config.slope)
-    pooled = ad.matmul(x, net._pool)
+    stride = config.image_width // config.capacity
+    pooled = ad.mul_scalar(ad.segment_sum(x, len(batch) * config.capacity), 1.0 / stride)
     logits = ad.linear(net.params.node("head.weight"), pooled, net.params.node("head.bias"))
     return ad.softmax_columns(logits)
 
 
-def recognize(image: WordImage, net: RecognizerNet) -> CharGrid:
-    return CharGrid(forward(image, net).values)
+def recognize(
+    images: WordImage | Sequence[WordImage], net: RecognizerNet
+) -> CharGrid | list[CharGrid]:
+    """The grid of one image, or the list of grids of a sequence of images."""
+    values = forward(images, net).values
+    if isinstance(images, WordImage):
+        return CharGrid(values)
+    return split_grids(values, len(images))
 
 
-def ce_loss(z_hat, y_hat: CharGrid) -> DiffNode:
-    """Mean cross entropy -(1/(L|A|)) sum y log z, log clamped at 1e-12."""
-    if not isinstance(y_hat, CharGrid) or not y_hat.is_one_hot():
+def ce_loss(z_hat, y_hat: CharGrid | Sequence[CharGrid]) -> DiffNode:
+    """Mean cross entropy -(1/(L|A|)) sum y log z per sample, log clamped
+    at 1e-12. One target grid gives a scalar; a sequence of B targets, laid
+    side by side like forward's batch output, gives a (1, B) row."""
+    targets = [y_hat] if isinstance(y_hat, CharGrid) else list(y_hat)
+    if not targets or not all(isinstance(t, CharGrid) and t.is_one_hot() for t in targets):
         raise ValueError("target grid must be one-hot")
+    y_values = np.concatenate([t.values for t in targets], axis=1)
     z_node = ad.constant(z_hat.values) if isinstance(z_hat, CharGrid) else z_hat
-    if z_node.shape != y_hat.values.shape:
-        raise ShapeError(
-            f"prediction shape {z_node.shape} != target shape {y_hat.values.shape}"
-        )
-    alphabet_size, capacity = y_hat.values.shape
+    if z_node.shape != y_values.shape:
+        raise ShapeError(f"prediction shape {z_node.shape} != target shape {y_values.shape}")
+    alphabet_size, capacity = targets[0].values.shape
     logs = ad.log(ad.clamp_min(z_node, 1e-12))
-    total = ad.sum_all(ad.mul(ad.constant(y_hat.values), logs))
-    return ad.mul_scalar(total, -1.0 / (capacity * alphabet_size))
+    products = ad.segment_sum(ad.mul(ad.constant(y_values), logs), len(targets))
+    row = ad.mul_scalar(ad.sum_axis(products, 0), -1.0 / (capacity * alphabet_size))
+    return ad.reshape(row, ()) if isinstance(y_hat, CharGrid) else row
 
 
 def save_recognizer(path, net: RecognizerNet) -> None:
-    """Same tensor format as the surrogate; image dims ride as a meta tensor."""
+    """Same tensor format as the surrogate; slope, seed and image dims ride
+    as meta tensors."""
     config = net.config
     header = CheckpointHeader(
         alphabet_size=config.alphabet_size, capacity=config.capacity, embedding_dim=0
     )
     arrays = net.params.to_arrays()
+    arrays.update(network_meta(config.slope, config.seed))
     arrays[META_IMAGE_SHAPE] = np.array(
         [config.image_height, config.image_width], dtype=np.float64
     )
@@ -161,6 +179,7 @@ def save_recognizer(path, net: RecognizerNet) -> None:
 
 def load_recognizer(path) -> RecognizerNet:
     header, arrays = load_checkpoint(path)
+    network = pop_network_meta(arrays)
     try:
         meta = arrays.pop(META_IMAGE_SHAPE)
         kernel = arrays["conv0.weight"].shape[2]
@@ -176,6 +195,7 @@ def load_recognizer(path) -> RecognizerNet:
         image_width=int(meta[1]),
         channels=tuple(channels),
         kernel=kernel,
+        **network,
     )
     net = RecognizerNet(config)
     net.params.load_arrays(arrays)

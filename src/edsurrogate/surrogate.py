@@ -3,11 +3,14 @@ compared in Euclidean space, plus its regression-with-penalty training loss.
 
 The network reads a grid as |A| channels over the length axis, applies five
 same-padded conv layers with LeakyReLU, pools over length, and maps through
-two fully connected layers to a fixed-size embedding.
+two fully connected layers to a fixed-size embedding. A batch of B grids runs
+as one graph: the grids sit side by side as B column segments of width L, and
+every per-sample quantity comes out as one entry of a (1, B) row.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +18,14 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import DiffNode
 from .errors import CheckpointError, ConfigError, ShapeError
-from .params import CheckpointHeader, ParamStore, load_checkpoint, save_checkpoint
+from .params import (
+    CheckpointHeader,
+    ParamStore,
+    load_checkpoint,
+    network_meta,
+    pop_network_meta,
+    save_checkpoint,
+)
 from .text_metrics import CharGrid
 
 CONV_LAYERS = 5
@@ -93,41 +103,77 @@ class SurrogateNet:
         return self.config.embedding_dim
 
 
-def _as_grid_node(grid, config: SurrogateConfig) -> DiffNode:
-    if isinstance(grid, DiffNode):
-        node = grid
-    elif isinstance(grid, CharGrid):
-        node = ad.constant(grid.values)
+def _as_grid_node(grids, config: SurrogateConfig) -> DiffNode:
+    """One node holding the grids side by side: a CharGrid, a sequence of
+    CharGrids, or a DiffNode that already holds B grids."""
+    if isinstance(grids, DiffNode):
+        node = grids
+    elif isinstance(grids, CharGrid):
+        node = ad.constant(grids.values)
+    elif isinstance(grids, Sequence) and grids and all(isinstance(g, CharGrid) for g in grids):
+        node = ad.constant(np.concatenate([g.values for g in grids], axis=1))
     else:
-        raise TypeError("expected CharGrid or DiffNode")
-    expected = (config.alphabet_size, config.capacity)
-    if node.shape != expected:
-        raise ConfigError(f"grid shape {node.shape} does not match net {expected}")
+        raise TypeError("expected CharGrid, a non-empty sequence of CharGrids, or DiffNode")
+    if (
+        node.ndim != 2
+        or node.shape[0] != config.alphabet_size
+        or node.shape[1] == 0
+        or node.shape[1] % config.capacity != 0
+    ):
+        raise ConfigError(
+            f"grid shape {node.shape} does not hold grids of shape "
+            f"{(config.alphabet_size, config.capacity)}"
+        )
     return node
 
 
-def embed(grid, net: SurrogateNet) -> DiffNode:
-    """Deterministic embedding of a grid, differentiable in grid and weights."""
+def embed(grids, net: SurrogateNet) -> DiffNode:
+    """Deterministic embedding, differentiable in grids and weights.
+
+    One CharGrid gives an (E,) vector. A sequence of B CharGrids, or a
+    DiffNode holding B grids side by side, gives (E, B), one column each.
+    """
     config = net.config
-    x = _as_grid_node(grid, config)
-    pad = (config.kernel - 1) // 2
+    x = _as_grid_node(grids, config)
+    batch = x.shape[1] // config.capacity
     for i in range(CONV_LAYERS):
         x = ad.conv1d(
-            x, net.params.node(f"conv{i}.weight"), net.params.node(f"conv{i}.bias"), pad
+            x, net.params.node(f"conv{i}.weight"), net.params.node(f"conv{i}.bias"), batch
         )
         x = ad.leaky_relu(x, config.slope)
-    pooled = ad.mul_scalar(ad.sum_axis(x, 1), 1.0 / config.capacity)
+    pooled = ad.mul_scalar(ad.segment_sum(x, batch), 1.0 / config.capacity)
     h = ad.leaky_relu(
         ad.linear(net.params.node("fc1.weight"), pooled, net.params.node("fc1.bias")),
         config.slope,
     )
     out = ad.linear(net.params.node("fc2.weight"), h, net.params.node("fc2.bias"))
-    return ad.reshape(out, (config.embedding_dim,))
+    return ad.reshape(out, (config.embedding_dim,)) if isinstance(grids, CharGrid) else out
+
+
+def _batch_size(e) -> int | None:
+    """None for one sample (an int e), else the number of samples."""
+    if isinstance(e, (int, np.integer)):
+        if e < 0:
+            raise ValueError("edit distance must be non-negative")
+        return None
+    if len(e) == 0 or min(e) < 0:
+        raise ValueError("edit distances must be a non-empty sequence of non-negative ints")
+    return len(e)
+
+
+def distance_row(z_node: DiffNode, y_embedding: DiffNode, net: SurrogateNet) -> DiffNode:
+    """(1, B) row of Euclidean distances between the embeddings of the B
+    grids in z_node and the B columns of y_embedding."""
+    diff = ad.sub(embed(z_node, net), y_embedding)
+    return ad.segment_norms(diff, diff.shape[1])
 
 
 def surrogate_distance(z_hat, y_hat, net: SurrogateNet) -> DiffNode:
-    """Euclidean distance between the two embeddings (symmetric, >= 0)."""
-    return ad.l2_norm_eps(ad.sub(embed(z_hat, net), embed(y_hat, net)))
+    """Euclidean distance between the two embeddings (symmetric, >= 0):
+    a scalar for two CharGrids, a (1, B) row for two batches of B grids."""
+    y_node = _as_grid_node(y_hat, net.config)
+    row = distance_row(_as_grid_node(z_hat, net.config), embed(y_node, net), net)
+    return ad.reshape(row, ()) if isinstance(y_hat, CharGrid) else row
 
 
 @dataclass(frozen=True)
@@ -139,31 +185,44 @@ class SurrogateLossParts:
 
 
 def surrogate_loss_parts(
-    z_hat, y_hat, e: int, net: SurrogateNet, weights: SurrogateLossWeights
+    z_hat, y_hat, e, net: SurrogateNet, weights: SurrogateLossWeights
 ) -> SurrogateLossParts:
     """Loss w1*(e_hat - e)^2 + w2*(||d e_hat/d z||_2 - 1)^2 with its pieces.
 
-    The penalty gradient is taken w.r.t. the predicted grid only, with
-    create_graph set so the loss stays differentiable in the weights.
+    One sample (an int e) gives scalar parts. A batch of B samples (a
+    sequence e, with B grids in z_hat and in y_hat) gives (1, B) rows. The
+    penalty gradient is taken w.r.t. the predicted grids only, with
+    create_graph set so the loss stays differentiable in the weights;
+    samples do not interact, so one backward of sum(e_hat) gives every
+    sample's gradient as its own column block.
     """
-    if e < 0:
-        raise ValueError("edit distance must be non-negative")
-    z_node = ad.variable(z_hat.values) if isinstance(z_hat, CharGrid) else z_hat
+    batch = _batch_size(e)
+    if isinstance(z_hat, DiffNode):
+        z_node = z_hat
+    else:
+        z_node = ad.variable(_as_grid_node(z_hat, net.config).values)
     if not z_node.requires_grad:
         raise ShapeError("predicted grid must participate in differentiation")
-    e_hat = surrogate_distance(z_node, y_hat, net)
-    fit = ad.square(ad.add_scalar(e_hat, -float(e)))
+    segments = batch or 1
+    if z_node.shape[1] != segments * net.config.capacity:
+        raise ShapeError(f"predicted grids {z_node.shape} do not hold {segments} samples")
+    e_row = ad.constant(np.reshape(np.asarray(e, dtype=np.float64), (1, segments)))
+    e_hat = distance_row(z_node, embed(_as_grid_node(y_hat, net.config), net), net)
+    fit = ad.square(ad.sub(e_hat, e_row))
     loss = ad.mul_scalar(fit, weights.w1)
     penalty = None
     if weights.w2 > 0:
-        (grad_z,) = ad.backward(e_hat, [z_node], create_graph=True)
-        penalty = ad.square(ad.add_scalar(ad.l2_norm_eps(grad_z), -1.0))
+        (grad_z,) = ad.backward(ad.sum_all(e_hat), [z_node], create_graph=True)
+        penalty = ad.square(ad.add_scalar(ad.segment_norms(grad_z, segments), -1.0))
         loss = ad.add(loss, ad.mul_scalar(penalty, weights.w2))
+    if batch is None:
+        loss, e_hat, fit = (ad.reshape(node, ()) for node in (loss, e_hat, fit))
+        penalty = None if penalty is None else ad.reshape(penalty, ())
     return SurrogateLossParts(loss=loss, e_hat=e_hat, fit=fit, penalty=penalty)
 
 
 def surrogate_loss(
-    z_hat, y_hat, e: int, net: SurrogateNet, weights: SurrogateLossWeights
+    z_hat, y_hat, e, net: SurrogateNet, weights: SurrogateLossWeights
 ) -> DiffNode:
     return surrogate_loss_parts(z_hat, y_hat, e, net, weights).loss
 
@@ -175,12 +234,15 @@ def save_surrogate(path, net: SurrogateNet) -> None:
         capacity=config.capacity,
         embedding_dim=config.embedding_dim,
     )
-    save_checkpoint(path, header, net.params.to_arrays())
+    arrays = net.params.to_arrays()
+    arrays.update(network_meta(config.slope, config.seed))
+    save_checkpoint(path, header, arrays)
 
 
 def load_surrogate(path) -> SurrogateNet:
     """Rebuild a net from a checkpoint; layer sizes come from tensor shapes."""
     header, arrays = load_checkpoint(path)
+    network = pop_network_meta(arrays)
     try:
         channels = tuple(arrays[f"conv{i}.weight"].shape[0] for i in range(CONV_LAYERS))
         kernel = arrays["conv0.weight"].shape[2]
@@ -199,6 +261,7 @@ def load_surrogate(path) -> SurrogateNet:
         channels=channels,
         kernel=kernel,
         hidden=hidden,
+        **network,
     )
     net = SurrogateNet(config)
     net.params.load_arrays(arrays)

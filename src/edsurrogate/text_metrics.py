@@ -99,6 +99,13 @@ class CharGrid:
         return bool(zeros_ok and np.all(ones_per_col == 1))
 
 
+def split_grids(values: np.ndarray, count: int) -> list[CharGrid]:
+    """Cut an (|A|, count*L) array of side-by-side grids into count grids."""
+    if values.ndim != 2 or count < 1 or values.shape[1] % count != 0:
+        raise ShapeError(f"shape {values.shape} does not hold {count} grids")
+    return [CharGrid(block) for block in np.split(values, count, axis=1)]
+
+
 def encode_one_hot(word: str, alphabet: Alphabet, capacity: int) -> CharGrid:
     """One-hot grid for `word`, right-padded with pad-hot columns."""
     if len(word) > capacity:

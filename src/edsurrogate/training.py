@@ -5,10 +5,15 @@ Modes: "feds" gates each recognizer update on the surrogate's per-sample
 approximation error; "lsed" trains without the gate and feeds the surrogate
 extra randomly generated word pairs; "baseline" is plain cross-entropy
 pretraining and never enters the alternation.
+
+Every optimizer step builds one graph for its whole minibatch: the per-sample
+losses come out as a (1, B) row, and the step descends on their mean.
 """
 
 from __future__ import annotations
 
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -16,19 +21,21 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DiffNode
-from .errors import ConfigError, ShapeError
+from .blas import one_blas_thread
+from .errors import ConfigError, NumericError, ShapeError
 from .params import ParamStore
 from .recognizer import RecognizerNet, WordImage, ce_loss, forward, save_recognizer
 from .surrogate import (
     SurrogateConfig,
     SurrogateLossWeights,
     SurrogateNet,
+    distance_row,
     embed,
     save_surrogate,
     surrogate_loss_parts,
 )
 from .synth_data import DatasetConfig, SplitCorpus, random_pair_generator
-from .text_metrics import CharGrid, decode_greedy, edit_distance, encode_one_hot
+from .text_metrics import CharGrid, decode_greedy, edit_distance, encode_one_hot, split_grids
 
 PHASE_PRETRAIN = "pretrain"
 PHASE_SURROGATE = "surrogate"
@@ -145,13 +152,15 @@ class PhaseLogRecord:
 
 # --- filtering --------------------------------------------------------------
 
-def filter_value(e: int, e_hat, lam: float):
-    """min(|e_hat - e|, lam). On a DiffNode the clipped branch (including the
-    |err| = lam boundary) carries a zero sub-gradient."""
+def filter_value(e, e_hat, lam: float):
+    """min(|e_hat - e|, lam). On a DiffNode (a scalar, or a (1, B) row with
+    e a sequence of B distances) the clipped branch, including the
+    |err| = lam boundary, carries a zero sub-gradient."""
     if not lam > 0:
         raise ConfigError("lambda must be > 0")
     if isinstance(e_hat, DiffNode):
-        return ad.clip_max(ad.abs_val(ad.add_scalar(e_hat, -float(e))), lam)
+        e_values = ad.constant(np.reshape(np.asarray(e, dtype=np.float64), e_hat.shape))
+        return ad.clip_max(ad.abs_val(ad.sub(e_hat, e_values)), lam)
     return min(abs(float(e_hat) - float(e)), lam)
 
 
@@ -159,21 +168,25 @@ def filter_value(e: int, e_hat, lam: float):
 class FilteredLossParts:
     loss: DiffNode
     e_hat: DiffNode
-    gate_open: bool
+    gate_open: bool | tuple[bool, ...]
 
 
 def filtered_str_loss_parts(
     z_hat,
-    y_hat: CharGrid,
-    e: int,
+    y_hat,
+    e,
     net: SurrogateNet,
     lam: float,
     gate_mode: str = "gated",
     y_embedding: DiffNode | None = None,
 ) -> FilteredLossParts:
-    """Per-sample tuning loss. Gated mode trains on e_hat itself with the
-    gate indicator held constant; literal mode differentiates min(|err|, lam)
-    as written. Both give exactly zero gradient once |e_hat - e| >= lam.
+    """Tuning loss. Gated mode trains on e_hat itself with the gate
+    indicator held constant; literal mode differentiates min(|err|, lam) as
+    written. Both give exactly zero gradient once |e_hat - e| >= lam.
+
+    One sample (an int e) gives a scalar loss and e_hat and a bool gate. A
+    batch of B samples (a sequence e, with B grids side by side in z_hat and
+    B target grids in y_hat) gives (1, B) rows and a tuple of B gates.
 
     y_embedding, when given, must be the detached embedding of y_hat under
     the same frozen net; it skips recomputing the target branch.
@@ -185,19 +198,22 @@ def filtered_str_loss_parts(
     z_node = ad.constant(z_hat.values) if isinstance(z_hat, CharGrid) else z_hat
     if y_embedding is None:
         y_embedding = embed(y_hat, net)
-    e_hat = ad.l2_norm_eps(ad.sub(embed(z_node, net), y_embedding))
-    gate_open = abs(e_hat.item() - e) < lam
+    if y_embedding.ndim == 1:
+        y_embedding = ad.reshape(y_embedding, (-1, 1))
+    e_hat = distance_row(z_node, y_embedding, net)
+    e_values = np.asarray(e, dtype=np.float64).reshape(1, -1)
+    if e_values.shape != e_hat.shape:
+        raise ShapeError(f"{e_values.size} edit distances for {e_hat.shape[1]} samples")
+    gates = np.abs(e_hat.values - e_values) < lam
     if gate_mode == "gated":
-        loss = ad.mul_scalar(e_hat, 1.0 if gate_open else 0.0)
+        loss = ad.mul(e_hat, ad.constant(gates.astype(np.float64)))
     else:
         loss = filter_value(e, e_hat, lam)
-    return FilteredLossParts(loss=loss, e_hat=e_hat, gate_open=gate_open)
-
-
-def filtered_str_loss(
-    z_hat, y_hat: CharGrid, e: int, net: SurrogateNet, lam: float, gate_mode: str = "gated"
-) -> DiffNode:
-    return filtered_str_loss_parts(z_hat, y_hat, e, net, lam, gate_mode).loss
+    if isinstance(e, (int, np.integer)):
+        return FilteredLossParts(
+            loss=ad.reshape(loss, ()), e_hat=ad.reshape(e_hat, ()), gate_open=bool(gates[0, 0])
+        )
+    return FilteredLossParts(loss=loss, e_hat=e_hat, gate_open=tuple(gates[0].tolist()))
 
 
 # --- optimizer ---------------------------------------------------------------
@@ -246,20 +262,40 @@ def _apply_step(params, grads, state, cfg: TrainConfig, lr: float) -> None:
         sgd_step(params, grads, lr)
 
 
-def _mean_node(nodes: list[DiffNode]) -> DiffNode:
-    total = nodes[0]
-    for node in nodes[1:]:
-        total = ad.add(total, node)
-    return ad.mul_scalar(total, 1.0 / len(nodes))
-
-
-def _grads_by_name(root: DiffNode, params: ParamStore) -> dict[str, np.ndarray]:
+def _descend(params: ParamStore, losses: DiffNode, state, cfg: TrainConfig, lr: float):
+    """One optimizer step on the batch mean of a (1, B) row of per-sample losses."""
+    root = ad.mul_scalar(ad.sum_all(losses), 1.0 / losses.shape[1])
     grads = ad.backward(root, params.nodes())
-    return {name: g.values for name, g in zip(params.names(), grads)}
+    _apply_step(params, {n: g.values for n, g in zip(params.names(), grads)}, state, cfg, lr)
+
+
+@contextmanager
+def _naming_divergence(phase: str, epoch: int, iteration: int):
+    """Re-raise a NumericError with the step it came from."""
+    try:
+        yield
+    except NumericError as exc:
+        raise NumericError(
+            f"{phase} phase diverged at epoch {epoch}, iteration {iteration}: {exc}"
+        ) from exc
+
+
+def _edit_distances(grids: list[CharGrid], images: list[WordImage], alphabet) -> list[int]:
+    """Edit distance between each greedily decoded grid and its image's label."""
+    return [edit_distance(decode_greedy(g, alphabet), im.label) for g, im in zip(grids, images)]
+
+
+def _log_step(logs, epoch, phase, iteration, indices, es, e_hats, losses, gates) -> None:
+    """One record per sample of an optimizer step."""
+    logs.extend(
+        PhaseLogRecord(epoch, phase, iteration, int(index), e, e_hat, loss, gate)
+        for index, e, e_hat, loss, gate in zip(indices, es, e_hats, losses, gates)
+    )
 
 
 # --- phases -------------------------------------------------------------------
 
+@one_blas_thread()
 def pretrain_recognizer(
     images: list[WordImage],
     recognizer: RecognizerNet,
@@ -274,35 +310,25 @@ def pretrain_recognizer(
     state = OptimizerState(recognizer.params)
     targets = {}
     for iteration in range(cfg.pretrain_iterations):
-        indices = rng.integers(0, len(images), size=cfg.batch_size)
-        losses = []
-        for index in indices:
-            image = images[index]
-            if image.label not in targets:
-                targets[image.label] = encode_one_hot(
-                    image.label, dcfg.alphabet, dcfg.capacity
-                )
-            z_node = forward(image, recognizer)
-            loss = ce_loss(z_node, targets[image.label])
-            losses.append(loss)
-            if logs is not None:
-                decoded = decode_greedy(CharGrid(z_node.values), dcfg.alphabet)
-                logs.append(
-                    PhaseLogRecord(
-                        epoch=0,
-                        phase=PHASE_PRETRAIN,
-                        iteration=iteration,
-                        sample_index=int(index),
-                        e=edit_distance(decoded, image.label),
-                        e_hat=float("nan"),
-                        loss=loss.item(),
-                        gate_open=False,
+        with _naming_divergence(PHASE_PRETRAIN, 0, iteration):
+            indices = rng.integers(0, len(images), size=cfg.batch_size)
+            batch = [images[index] for index in indices]
+            for image in batch:
+                if image.label not in targets:
+                    targets[image.label] = encode_one_hot(
+                        image.label, dcfg.alphabet, dcfg.capacity
                     )
-                )
-        grads = _grads_by_name(_mean_node(losses), recognizer.params)
-        _apply_step(recognizer.params, grads, state, cfg, cfg.eta_pre)
+            z_node = forward(batch, recognizer)
+            losses = ce_loss(z_node, [targets[image.label] for image in batch])
+            if logs is not None:
+                es = _edit_distances(split_grids(z_node.values, len(batch)), batch, dcfg.alphabet)
+                nans, closed = [math.nan] * len(batch), [False] * len(batch)
+                row = losses.values[0].tolist()
+                _log_step(logs, 0, PHASE_PRETRAIN, iteration, indices, es, nans, row, closed)
+            _descend(recognizer.params, losses, state, cfg, cfg.eta_pre)
 
 
+@one_blas_thread()
 def train_surrogate_phase(
     images: list[WordImage],
     recognizer: RecognizerNet,
@@ -314,57 +340,51 @@ def train_surrogate_phase(
     logs: list[PhaseLogRecord],
 ) -> None:
     """i_a updates of the surrogate on (predicted grid, target grid, true ED)
-    triples from the frozen recognizer. In lsed mode half of every batch
-    comes from the random pair generator instead."""
+    triples from the frozen recognizer. In lsed mode every odd batch position
+    holds a pair from the random pair generator instead."""
     if not images:
         raise ConfigError("empty training set")
     rng = np.random.default_rng([cfg.seed, epoch, 1])
-    cache: dict[int, tuple[np.ndarray, CharGrid, int]] = {}
+    # index -> (predicted grid, target grid, edit distance), for this phase
+    cache: dict[int, tuple[CharGrid, CharGrid, int]] = {}
+    generated = range(1, cfg.batch_size, 2) if cfg.mode == "lsed" else range(0)
     for iteration in range(cfg.i_a):
-        indices = rng.integers(0, len(images), size=cfg.batch_size)
-        losses = []
-        for position, index in enumerate(indices):
-            generated = cfg.mode == "lsed" and position % 2 == 1
-            if generated:
-                pair = random_pair_generator(dcfg, rng)
-                z_values, y_grid, e = pair.grid_a.values, pair.grid_b, pair.ed
-                log_index = GENERATED_SAMPLE_INDEX
-            else:
-                index = int(index)
-                if index not in cache:
-                    z_vals = forward(images[index], recognizer).values
-                    y_grid = encode_one_hot(
-                        images[index].label, dcfg.alphabet, dcfg.capacity
-                    )
-                    decoded = decode_greedy(CharGrid(z_vals), dcfg.alphabet)
-                    cache[index] = (
-                        z_vals,
-                        y_grid,
-                        edit_distance(decoded, images[index].label),
-                    )
-                z_values, y_grid, e = cache[index]
-                log_index = index
-            parts = surrogate_loss_parts(
-                ad.variable(z_values), y_grid, e, surrogate_net, cfg.weights
+        with _naming_divergence(PHASE_SURROGATE, epoch, iteration):
+            indices = [int(index) for index in rng.integers(0, len(images), size=cfg.batch_size)]
+            pairs = {position: random_pair_generator(dcfg, rng) for position in generated}
+            real = [index for position, index in enumerate(indices) if position not in pairs]
+            misses = list(dict.fromkeys(index for index in real if index not in cache))
+            if misses:
+                missed = [images[index] for index in misses]
+                grids = split_grids(forward(missed, recognizer).values, len(misses))
+                es = _edit_distances(grids, missed, dcfg.alphabet)
+                for index, grid, e in zip(misses, grids, es):
+                    y_grid = encode_one_hot(images[index].label, dcfg.alphabet, dcfg.capacity)
+                    cache[index] = (grid, y_grid, e)
+            samples = [
+                (pairs[position].grid_a, pairs[position].grid_b, pairs[position].ed)
+                if position in pairs
+                else cache[index]
+                for position, index in enumerate(indices)
+            ]
+            z_grids, y_grids, es = (list(column) for column in zip(*samples))
+            parts = surrogate_loss_parts(z_grids, y_grids, es, surrogate_net, cfg.weights)
+            e_hats = parts.e_hat.values[0].tolist()
+            _log_step(
+                logs,
+                epoch,
+                PHASE_SURROGATE,
+                iteration,
+                [GENERATED_SAMPLE_INDEX if p in pairs else i for p, i in enumerate(indices)],
+                es,
+                e_hats,
+                parts.loss.values[0].tolist(),
+                [abs(e_hat - e) < cfg.lam for e_hat, e in zip(e_hats, es)],
             )
-            losses.append(parts.loss)
-            e_hat = parts.e_hat.item()
-            logs.append(
-                PhaseLogRecord(
-                    epoch=epoch,
-                    phase=PHASE_SURROGATE,
-                    iteration=iteration,
-                    sample_index=log_index,
-                    e=e,
-                    e_hat=e_hat,
-                    loss=parts.loss.item(),
-                    gate_open=abs(e_hat - e) < cfg.lam,
-                )
-            )
-        grads = _grads_by_name(_mean_node(losses), surrogate_net.params)
-        _apply_step(surrogate_net.params, grads, state, cfg, cfg.eta_a)
+            _descend(surrogate_net.params, parts.loss, state, cfg, cfg.eta_a)
 
 
+@one_blas_thread()
 def tune_recognizer_phase(
     images: list[WordImage],
     recognizer: RecognizerNet,
@@ -380,48 +400,41 @@ def tune_recognizer_phase(
     if not images:
         raise ConfigError("empty training set")
     rng = np.random.default_rng([cfg.seed, epoch, 2])
-    target_embeddings: dict[str, tuple[CharGrid, DiffNode]] = {}
+    if cfg.mode == "lsed":  # an infinite band keeps every gate open
+        lam, gate_mode = math.inf, "gated"
+    else:
+        lam, gate_mode = cfg.lam, cfg.gate_mode
+    # label -> (target grid, its embedding under the frozen surrogate)
+    targets: dict[str, tuple[CharGrid, np.ndarray]] = {}
     for iteration in range(cfg.i_b):
-        indices = rng.integers(0, len(images), size=cfg.batch_size)
-        losses = []
-        for index in indices:
-            image = images[int(index)]
-            if image.label not in target_embeddings:
-                y_grid = encode_one_hot(image.label, dcfg.alphabet, dcfg.capacity)
-                y_embed = embed(y_grid, surrogate_net).detach()
-                target_embeddings[image.label] = (y_grid, y_embed)
-            y_grid, y_embed = target_embeddings[image.label]
-            z_node = forward(image, recognizer)
-            decoded = decode_greedy(CharGrid(z_node.values), dcfg.alphabet)
-            e = edit_distance(decoded, image.label)
-            if cfg.mode == "lsed":
-                e_hat = ad.l2_norm_eps(ad.sub(embed(z_node, surrogate_net), y_embed))
-                parts = FilteredLossParts(loss=e_hat, e_hat=e_hat, gate_open=True)
-            else:
-                parts = filtered_str_loss_parts(
-                    z_node,
-                    y_grid,
-                    e,
-                    surrogate_net,
-                    cfg.lam,
-                    cfg.gate_mode,
-                    y_embedding=y_embed,
-                )
-            losses.append(parts.loss)
-            logs.append(
-                PhaseLogRecord(
-                    epoch=epoch,
-                    phase=PHASE_RECOGNIZER,
-                    iteration=iteration,
-                    sample_index=int(index),
-                    e=e,
-                    e_hat=parts.e_hat.item(),
-                    loss=parts.loss.item(),
-                    gate_open=parts.gate_open,
-                )
+        with _naming_divergence(PHASE_RECOGNIZER, epoch, iteration):
+            indices = rng.integers(0, len(images), size=cfg.batch_size)
+            batch = [images[int(index)] for index in indices]
+            new = list(dict.fromkeys(im.label for im in batch if im.label not in targets))
+            if new:
+                y_new = [encode_one_hot(label, dcfg.alphabet, dcfg.capacity) for label in new]
+                columns = embed(y_new, surrogate_net).values
+                for j, (label, y_grid) in enumerate(zip(new, y_new)):
+                    targets[label] = (y_grid, columns[:, j])
+            y_grids = [targets[image.label][0] for image in batch]
+            y_embed = ad.constant(np.stack([targets[im.label][1] for im in batch], axis=1))
+            z_node = forward(batch, recognizer)
+            es = _edit_distances(split_grids(z_node.values, len(batch)), batch, dcfg.alphabet)
+            parts = filtered_str_loss_parts(
+                z_node, y_grids, es, surrogate_net, lam, gate_mode, y_embedding=y_embed
             )
-        grads = _grads_by_name(_mean_node(losses), recognizer.params)
-        _apply_step(recognizer.params, grads, state, cfg, cfg.eta_b)
+            _log_step(
+                logs,
+                epoch,
+                PHASE_RECOGNIZER,
+                iteration,
+                indices,
+                es,
+                parts.e_hat.values[0].tolist(),
+                parts.loss.values[0].tolist(),
+                parts.gate_open,
+            )
+            _descend(recognizer.params, parts.loss, state, cfg, cfg.eta_b)
 
 
 @dataclass

@@ -39,7 +39,7 @@ def test_conv1d_identity_kernel_preserves_input():
     weight = np.zeros((2, 2, 3))
     weight[0, 0, 1] = 1.0
     weight[1, 1, 1] = 1.0
-    out = ad.conv1d(x, ad.constant(weight), padding=1)
+    out = ad.conv1d(x, ad.constant(weight))
     assert np.allclose(out.values, x.values)
 
 
@@ -109,8 +109,7 @@ def test_shape_op_gradients():
     weights = ad.constant(RNG.random((2, 6)))
     fd_check(lambda x: ad.sum_all(ad.mul(ad.reshape(x, (2, 6)), weights)), RNG.random((3, 4)))
     fd_check(lambda x: ad.sum_all(ad.square(ad.transpose(x))), RNG.random((3, 4)))
-    fd_check(lambda x: ad.sum_all(ad.square(ad.pad_cols(x, 2, 1))), RNG.random((2, 3)))
-    fd_check(lambda x: ad.sum_all(ad.square(ad.slice_cols(x, 1, 3))), RNG.random((2, 4)))
+    fd_check(lambda x: ad.sum_all(ad.square(ad.segment_sum(x, 2))), RNG.random((3, 4)))
     fd_check(lambda x: ad.square(ad.sum_all(x)), RNG.random((2, 3)))
     fd_check(
         lambda x: ad.sum_all(ad.square(ad.tile_axis(ad.sum_axis(x, 0), 0, 3))),
@@ -123,10 +122,98 @@ def test_shape_op_gradients():
 
 
 def test_unfold_fold_gradients():
-    r = ad.constant(RNG.random((6, 3)))
-    fd_check(lambda x: ad.sum_all(ad.mul(ad.unfold_cols(x, 3), r)), RNG.random((2, 5)))
-    r2 = ad.constant(RNG.random((2, 5)))
-    fd_check(lambda x: ad.sum_all(ad.mul(ad.fold_cols(x, 3, 5), r2)), RNG.random((6, 3)))
+    r = ad.constant(RNG.random((6, 6)))
+    fd_check(lambda x: ad.sum_all(ad.mul(ad.unfold_segments(x, 3, 2), r)), RNG.random((2, 6)))
+    r2 = ad.constant(RNG.random((2, 6)))
+    fd_check(lambda x: ad.sum_all(ad.mul(ad.fold_segments(x, 3, 2), r2)), RNG.random((6, 6)))
+
+
+def _padded_windows_oracle(x, kernel, segments):
+    """unfold_segments by explicit loops over segments, channels and taps."""
+    c, total = x.shape
+    width, pad = total // segments, (kernel - 1) // 2
+    out = np.zeros((c * kernel, total))
+    for s in range(segments):
+        block = np.zeros((c, width + 2 * pad))
+        block[:, pad : pad + width] = x[:, s * width : (s + 1) * width]
+        for ch in range(c):
+            for j in range(kernel):
+                out[ch * kernel + j, s * width : (s + 1) * width] = block[ch, j : j + width]
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    channels=st.integers(1, 3),
+    segments=st.integers(1, 4),
+    width=st.integers(1, 5),
+    kernel=st.sampled_from([1, 3, 5]),
+    seed=st.integers(0, 2**16),
+)
+def test_segment_pair_matches_oracle_and_is_adjoint(channels, segments, width, kernel, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((channels, segments * width))
+    g = rng.standard_normal((channels * kernel, segments * width))
+    unfolded = ad.unfold_segments(ad.constant(x), kernel, segments).values
+    folded = ad.fold_segments(ad.constant(g), kernel, segments).values
+    assert np.array_equal(unfolded, _padded_windows_oracle(x, kernel, segments))
+    # <unfold(x), g> = <x, fold(g)>
+    assert np.sum(unfolded * g) == pytest.approx(np.sum(x * folded), rel=1e-12, abs=1e-12)
+
+
+def test_segment_pair_rejects_bad_shapes():
+    with pytest.raises(ShapeError):
+        ad.unfold_segments(ad.constant(np.ones((2, 5))), 3, 2)
+    with pytest.raises(ShapeError):
+        ad.unfold_segments(ad.constant(np.ones((2, 6))), 2, 2)
+    with pytest.raises(ShapeError):
+        ad.fold_segments(ad.constant(np.ones((5, 6))), 3, 2)
+
+
+@pytest.mark.parametrize("op", ["unfold", "fold"])
+def test_segment_pair_second_order_matches_fd(op):
+    # s(w) = || d/dx sum(square(T(w * x))) || with T one of the pair, so the
+    # create_graph backward runs through T's VJP and is differentiated again.
+    if op == "unfold":
+        w0, x0 = RNG.standard_normal((2, 6)), RNG.standard_normal((2, 6))
+
+        def transform(a):
+            return ad.unfold_segments(a, 3, 2)
+    else:
+        w0, x0 = RNG.standard_normal((6, 6)), RNG.standard_normal((6, 6))
+
+        def transform(a):
+            return ad.fold_segments(a, 3, 2)
+
+    def s_of(w_values):
+        w = ad.variable(w_values)
+        x = ad.variable(x0)
+        f = ad.sum_all(ad.square(transform(ad.mul(w, x))))
+        (grad_x,) = ad.backward(f, [x], create_graph=True)
+        return w, ad.l2_norm_eps(grad_x)
+
+    w_leaf, s = s_of(w0)
+    (analytic,) = ad.backward(s, [w_leaf])
+    numeric = finite_difference_gradient(lambda v: s_of(v)[1].item(), w0)
+    assert_gradients_close(analytic.values, numeric, abs_tol=1e-7, rel_tol=1e-4)
+
+
+def test_segmented_conv_equals_one_conv_per_segment():
+    w = ad.constant(RNG.standard_normal((3, 2, 3)))
+    b = ad.constant(RNG.standard_normal((3, 1)))
+    x = RNG.standard_normal((2, 12))
+    together = ad.conv1d(ad.constant(x), w, b, segments=3).values
+    apart = [ad.conv1d(ad.constant(x[:, i : i + 4]), w, b).values for i in (0, 4, 8)]
+    assert np.allclose(together, np.concatenate(apart, axis=1), rtol=0, atol=1e-12)
+
+
+def test_segment_norms_equal_l2_norm_of_each_block():
+    x = RNG.standard_normal((3, 8))
+    norms = ad.segment_norms(ad.constant(x), 2).values
+    expected = [ad.l2_norm_eps(ad.constant(x[:, i : i + 4])).item() for i in (0, 4)]
+    assert norms.shape == (1, 2)
+    assert np.allclose(norms[0], expected, rtol=1e-14, atol=0)
+    fd_check(lambda v: ad.sum_all(ad.segment_norms(v, 2)), x)
 
 
 def test_softmax_columns_gradient():
@@ -140,9 +227,9 @@ def test_conv1d_gradients_input_weight_bias():
     x0 = RNG.standard_normal((2, 5))
 
     w_const, b_const, x_const = ad.constant(w0), ad.constant(b0), ad.constant(x0)
-    fd_check(lambda x: ad.sum_all(ad.square(ad.conv1d(x, w_const, b_const, padding=1))), x0)
-    fd_check(lambda w: ad.sum_all(ad.square(ad.conv1d(x_const, w, b_const, padding=1))), w0)
-    fd_check(lambda b: ad.sum_all(ad.square(ad.conv1d(x_const, w_const, b, padding=1))), b0)
+    fd_check(lambda x: ad.sum_all(ad.square(ad.conv1d(x, w_const, b_const))), x0)
+    fd_check(lambda w: ad.sum_all(ad.square(ad.conv1d(x_const, w, b_const))), w0)
+    fd_check(lambda b: ad.sum_all(ad.square(ad.conv1d(x_const, w_const, b))), b0)
 
 
 def test_linear_gradient():
@@ -238,7 +325,7 @@ def test_replay_is_bitwise_deterministic():
 
     def run():
         x = ad.variable(x0)
-        out = ad.softmax_columns(ad.conv1d(x, ad.constant(w0), padding=1))
+        out = ad.softmax_columns(ad.conv1d(x, ad.constant(w0)))
         root = ad.l2_norm_eps(out)
         (grad,) = ad.backward(root, [x])
         return root.values.copy(), grad.values.copy()
@@ -276,7 +363,7 @@ def test_second_backward_flows_through_conv():
     def s_of(w_values):
         w = ad.variable(w_values)
         x = ad.variable(x0)
-        f = ad.sum_all(ad.square(ad.conv1d(x, w, padding=1)))
+        f = ad.sum_all(ad.square(ad.conv1d(x, w)))
         (grad_x,) = ad.backward(f, [x], create_graph=True)
         return w, ad.l2_norm_eps(grad_x)
 

@@ -209,3 +209,22 @@ def test_non_object_config_fails(tmp_path, capsys):
 def test_unknown_mode_is_rejected(tmp_path):
     with pytest.raises(SystemExit):
         main(["tune", "--mode", "unfiltered", "--out", str(tmp_path / "t")])
+
+
+def test_divergence_is_one_error_line_naming_the_step(tmp_path, capsys):
+    config = tmp_path / "diverge.json"
+    config.write_text(
+        json.dumps(
+            {
+                "seed": 1,
+                "dataset": {"corpus_size": 20},
+                "train": {"pretrain_iterations": 5, "batch_size": 2, "eta_pre": 1e300},
+            }
+        ),
+        encoding="utf-8",
+    )
+    code = main(["train-baseline", "--config", str(config), "--out", str(tmp_path / "b")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: pretrain phase diverged at epoch 0, iteration ")

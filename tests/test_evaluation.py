@@ -160,3 +160,12 @@ def test_in_band_fraction_improves_in_fake_logs():
     logs = make_logs()
     # epoch 1 e_hat offset 0.5 (all out of band), epoch 2 within 0.25 for early iters
     assert in_band_fraction(logs, 1, 1, 0.25) < in_band_fraction(logs, 2, 2, 0.25)
+
+
+@pytest.mark.parametrize("reader", [read_log_csv, read_metrics_csv, read_scatter_csv])
+@pytest.mark.parametrize("content", ["", "\n", "1,2,3\n", "# lambda=0.25\n"])
+def test_readers_reject_empty_or_headerless_files(tmp_path, reader, content):
+    path = tmp_path / "bad.csv"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(ValueError):
+        reader(path)
