@@ -8,22 +8,22 @@ a per-epoch in-band table plus the final scores.
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from edsurrogate.cli import run_experiment
 from edsurrogate.evaluation import (
-    evaluate_model,
     export_scatter,
     format_summary,
     in_band_fraction,
     relative_ted_improvement,
-    write_log_csv,
     write_metrics_csv,
 )
-from edsurrogate.recognizer import RecognizerConfig, RecognizerNet, load_recognizer, save_recognizer
+from edsurrogate.recognizer import load_recognizer, save_recognizer
 from edsurrogate.synth_data import DatasetConfig, sample_corpus, split_corpus
-from edsurrogate.training import TrainConfig, pretrain_recognizer, run_post_tuning
+from edsurrogate.training import TrainConfig, build_recognizer, pretrain_recognizer
 
 
 def main(argv=None) -> int:
@@ -39,41 +39,27 @@ def main(argv=None) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    recognizer = RecognizerNet(
-        RecognizerConfig(
-            alphabet_size=len(dcfg.alphabet),
-            capacity=dcfg.capacity,
-            image_height=dcfg.image_height,
-            image_width=dcfg.image_width,
-            seed=args.seed,
-        )
-    )
+    recognizer = build_recognizer(dcfg, args.seed)
     pretrain_recognizer(split.train, recognizer, cfg, dcfg)
     save_recognizer(out / "baseline.bin", recognizer)
-    base = evaluate_model(recognizer, split.test, dcfg.alphabet, dataset_id="test")
+    runs = {}
+    for mode in ("feds", "lsed"):
+        net = load_recognizer(out / "baseline.bin")
+        runs[mode] = run_experiment(replace(cfg, mode=mode), dcfg, split, net, out_dir=out / mode)
+
+    base = runs["feds"].baseline
     print(format_summary(base))
     write_metrics_csv(out / "baseline_metrics.csv", base)
-
-    reports = {}
-    for mode in ("feds", "lsed"):
-        arm_cfg = TrainConfig.from_dict({**cfg.to_dict(), "mode": mode})
-        net = load_recognizer(out / "baseline.bin")
-        result = run_post_tuning(arm_cfg, dcfg, split, net, out_dir=out / mode)
-        write_log_csv(out / mode / "log.csv", result.logs)
-        report = evaluate_model(result.recognizer, split.test, dcfg.alphabet, dataset_id="test")
-        write_metrics_csv(out / mode / "metrics.csv", report)
-        reports[mode] = report
-        if mode == "feds":
-            export_scatter(out / mode / "scatter.csv", result.logs, 1, arm_cfg.epochs, arm_cfg.lam)
-            print("epoch  in_band")
-            for epoch in range(1, arm_cfg.epochs + 1):
-                print(f"{epoch:>5}  {in_band_fraction(result.logs, epoch, epoch, arm_cfg.lam):.3f}")
-
-    for mode, report in reports.items():
-        rel = relative_ted_improvement(base.ted, report.ted)
+    logs = runs["feds"].result.logs
+    export_scatter(out / "feds" / "scatter.csv", logs, 1, cfg.epochs, cfg.lam)
+    print("epoch  in_band")
+    for epoch in range(1, cfg.epochs + 1):
+        print(f"{epoch:>5}  {in_band_fraction(logs, epoch, epoch, cfg.lam):.3f}")
+    for mode, run in runs.items():
+        rel = relative_ted_improvement(base.ted, run.tuned.ted)
         print(
-            f"{mode}: accuracy={report.accuracy:.3f} ned={report.ned:.3f} "
-            f"ted {base.ted} -> {report.ted} ({rel:+.1%})"
+            f"{mode}: accuracy={run.tuned.accuracy:.3f} ned={run.tuned.ned:.3f} "
+            f"ted {base.ted} -> {run.tuned.ted} ({rel:+.1%})"
         )
     return 0
 

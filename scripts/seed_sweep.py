@@ -12,42 +12,32 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from edsurrogate.evaluation import evaluate_model, in_band_fraction, relative_ted_improvement
-from edsurrogate.recognizer import RecognizerConfig, RecognizerNet
+from edsurrogate.cli import run_experiment
+from edsurrogate.evaluation import in_band_fraction, relative_ted_improvement
 from edsurrogate.synth_data import DatasetConfig, sample_corpus, split_corpus
-from edsurrogate.training import TrainConfig, pretrain_recognizer, run_post_tuning
+from edsurrogate.training import TrainConfig
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, default=5, help="number of seeds, 0..N-1")
     args = parser.parse_args(argv)
+    if args.seeds < 1:
+        parser.error("--seeds must be >= 1")
 
     wins = 0
     improvements = []
     for seed in range(args.seeds):
         t0 = time.perf_counter()
         dcfg = DatasetConfig.desk(seed=seed)
-        split = split_corpus(sample_corpus(dcfg))
         cfg = TrainConfig.desk(seed=seed)
-        recognizer = RecognizerNet(
-            RecognizerConfig(
-                alphabet_size=len(dcfg.alphabet),
-                capacity=dcfg.capacity,
-                image_height=dcfg.image_height,
-                image_width=dcfg.image_width,
-                seed=seed,
-            )
-        )
-        pretrain_recognizer(split.train, recognizer, cfg, dcfg)
-        base = evaluate_model(recognizer, split.test, dcfg.alphabet)
-        result = run_post_tuning(cfg, dcfg, split, recognizer)
-        tuned = evaluate_model(result.recognizer, split.test, dcfg.alphabet)
+        run = run_experiment(cfg, dcfg, split_corpus(sample_corpus(dcfg)))
+        base, tuned = run.baseline, run.tuned
         rel = relative_ted_improvement(base.ted, tuned.ted)
         improvements.append(rel)
         wins += tuned.ted <= base.ted
-        early = in_band_fraction(result.logs, 1, 1, cfg.lam)
-        late = in_band_fraction(result.logs, cfg.epochs - 1, cfg.epochs, cfg.lam)
+        early = in_band_fraction(run.result.logs, 1, 1, cfg.lam)
+        late = in_band_fraction(run.result.logs, cfg.epochs - 1, cfg.epochs, cfg.lam)
         print(
             f"seed {seed}: acc={base.accuracy:.3f} ted {base.ted} -> {tuned.ted} "
             f"({rel:+.1%})  in_band {early:.3f} -> {late:.3f}  "

@@ -420,15 +420,6 @@ _VJPS = {
 # Composite ops used by both networks.
 # ---------------------------------------------------------------------------
 
-def mean_all(a):
-    return mul_scalar(sum_all(a), 1.0 / a.values.size)
-
-
-def abs_smooth(a, eps=EPS_NORM):
-    """sqrt(a^2 + eps): |a| smoothed at the kink."""
-    return sqrt(add_scalar(square(a), eps))
-
-
 def l2_norm_eps(a, eps=EPS_NORM):
     """sqrt(sum(a^2) + eps): Euclidean norm differentiable at 0."""
     return sqrt(add_scalar(sum_all(square(a)), eps))

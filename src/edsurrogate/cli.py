@@ -1,5 +1,6 @@
 """Command-line front end: dataset generation, baseline training, post-tuning,
-evaluation, and scatter export.
+evaluation, and scatter export; and run_experiment, the one desk-experiment
+path that `tune`, the scripts and the acceptance tests share.
 
 Configuration comes from an optional JSON file with "dataset", "train",
 "recognizer" and "surrogate" sections layered over the desk presets; flags win
@@ -13,11 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, reject_unknown_keys
 from .evaluation import (
     evaluate_model,
     export_scatter,
@@ -27,10 +29,56 @@ from .evaluation import (
     write_log_csv,
     write_metrics_csv,
 )
-from .recognizer import RecognizerConfig, RecognizerNet, load_recognizer, save_recognizer
-from .surrogate import SurrogateConfig, SurrogateNet
-from .synth_data import DatasetConfig, sample_corpus, save_dataset, split_corpus
-from .training import PhaseLogRecord, TrainConfig, pretrain_recognizer, run_post_tuning
+from .recognizer import RecognizerNet, load_recognizer, save_recognizer
+from .synth_data import DatasetConfig, SplitCorpus, sample_corpus, save_dataset, split_corpus
+from .text_metrics import MetricsReport
+from .training import (
+    PhaseLogRecord,
+    PostTuningResult,
+    TrainConfig,
+    build_recognizer,
+    build_surrogate,
+    pretrain_recognizer,
+    run_post_tuning,
+)
+
+SECTIONS = ("dataset", "train", "recognizer", "surrogate")
+
+
+@dataclass
+class ExperimentRun:
+    baseline: MetricsReport  # test-split scores before post-tuning
+    tuned: MetricsReport  # test-split scores after post-tuning
+    result: PostTuningResult
+
+
+def run_experiment(
+    cfg: TrainConfig,
+    dcfg: DatasetConfig,
+    split: SplitCorpus,
+    recognizer: RecognizerNet | None = None,
+    file_cfg: dict | None = None,
+    out_dir: str | Path | None = None,
+) -> ExperimentRun:
+    """The desk experiment: pretrain a recognizer unless one is given, score
+    it on the test split, post-tune it in place, and score it again.
+
+    file_cfg's "recognizer" and "surrogate" sections override the net
+    presets. With out_dir, the epoch checkpoints, log.csv and the tuned
+    net's metrics.csv are written there.
+    """
+    sections = file_cfg or {}
+    surrogate = build_surrogate(dcfg, cfg.seed, sections.get("surrogate"))
+    if recognizer is None:
+        recognizer = build_recognizer(dcfg, cfg.seed, sections.get("recognizer"))
+        pretrain_recognizer(split.train, recognizer, cfg, dcfg)
+    baseline = evaluate_model(recognizer, split.test, dcfg.alphabet, dataset_id="test")
+    result = run_post_tuning(cfg, dcfg, split, recognizer, surrogate, out_dir=out_dir)
+    tuned = evaluate_model(result.recognizer, split.test, dcfg.alphabet, dataset_id="test")
+    if out_dir is not None:
+        write_log_csv(Path(out_dir) / "log.csv", result.logs)
+        write_metrics_csv(Path(out_dir) / "metrics.csv", tuned)
+    return ExperimentRun(baseline, tuned, result)
 
 
 def _read_config(path: str | None) -> dict:
@@ -39,63 +87,29 @@ def _read_config(path: str | None) -> dict:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
+    reject_unknown_keys("config", data, ("seed", *SECTIONS))
+    for name in SECTIONS:
+        if not isinstance(data.get(name, {}), dict):
+            raise ConfigError(f"config section {name!r} must be a JSON object")
     return data
 
 
-def _effective_seed(file_cfg: dict, args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    return int(file_cfg.get("seed", 0))
+def _layered(preset: dict, file_cfg: dict, section: str, flags: dict) -> dict:
+    """The desk preset, overridden in turn by the config file's seed, its
+    section and the flags given on the command line."""
+    values = {**preset, "seed": int(file_cfg.get("seed", 0)), **file_cfg.get(section, {})}
+    values.update({name: flag for name, flag in flags.items() if flag is not None})
+    return values
 
 
 def _dataset_config(file_cfg: dict, args) -> DatasetConfig:
-    values = DatasetConfig.desk().to_dict()
-    values["seed"] = _effective_seed(file_cfg, args)
-    values.update(file_cfg.get("dataset", {}))
-    if getattr(args, "seed", None) is not None:
-        values["seed"] = args.seed
-    return DatasetConfig.from_dict(values)
+    preset = DatasetConfig.desk().to_dict()
+    return DatasetConfig.from_dict(_layered(preset, file_cfg, "dataset", {"seed": args.seed}))
 
 
 def _train_config(file_cfg: dict, args) -> TrainConfig:
-    values = TrainConfig.desk().to_dict()
-    values["seed"] = _effective_seed(file_cfg, args)
-    values.update(file_cfg.get("train", {}))
-    overrides = {
-        "seed": getattr(args, "seed", None),
-        "mode": getattr(args, "mode", None),
-        "epochs": getattr(args, "epochs", None),
-        "lam": getattr(args, "lam", None),
-    }
-    values.update({name: flag for name, flag in overrides.items() if flag is not None})
-    return TrainConfig.from_dict(values)
-
-
-def _recognizer_net(dcfg: DatasetConfig, file_cfg: dict, seed: int) -> RecognizerNet:
-    values = dict(
-        alphabet_size=len(dcfg.alphabet),
-        capacity=dcfg.capacity,
-        image_height=dcfg.image_height,
-        image_width=dcfg.image_width,
-        seed=seed,
-    )
-    section = dict(file_cfg.get("recognizer", {}))
-    section["channels"] = tuple(section.get("channels", RecognizerConfig.channels))
-    values.update(section)
-    return RecognizerNet(RecognizerConfig(**values))
-
-
-def _surrogate_net(dcfg: DatasetConfig, file_cfg: dict, seed: int) -> SurrogateNet | None:
-    section = dict(file_cfg.get("surrogate", {}))
-    if not section:
-        return None
-    if "channels" in section:
-        section["channels"] = tuple(section["channels"])
-    return SurrogateNet(
-        SurrogateConfig(
-            alphabet_size=len(dcfg.alphabet), capacity=dcfg.capacity, seed=seed, **section
-        )
-    )
+    flags = {name: getattr(args, name, None) for name in ("seed", "mode", "epochs", "lam")}
+    return TrainConfig.from_dict(_layered(TrainConfig.desk().to_dict(), file_cfg, "train", flags))
 
 
 def _out_dir(args) -> Path:
@@ -107,14 +121,6 @@ def _out_dir(args) -> Path:
 def _write_summary(out: Path, summary: str) -> None:
     (out / "summary.txt").write_text(summary + "\n", encoding="utf-8")
     print(summary)
-
-
-def _pretrained_baseline(
-    dcfg: DatasetConfig, file_cfg: dict, cfg: TrainConfig, split, logs=None
-) -> RecognizerNet:
-    net = _recognizer_net(dcfg, file_cfg, cfg.seed)
-    pretrain_recognizer(split.train, net, cfg, dcfg, logs)
-    return net
 
 
 def _cmd_gen_data(args) -> int:
@@ -133,7 +139,8 @@ def _cmd_train_baseline(args) -> int:
     cfg = _train_config(file_cfg, args)
     split = split_corpus(sample_corpus(dcfg))
     logs: list[PhaseLogRecord] = []
-    net = _pretrained_baseline(dcfg, file_cfg, cfg, split, logs)
+    net = build_recognizer(dcfg, cfg.seed, file_cfg.get("recognizer"))
+    pretrain_recognizer(split.train, net, cfg, dcfg, logs)
     out = _out_dir(args)
     save_recognizer(out / "baseline.bin", net)
     write_log_csv(out / "log.csv", logs)
@@ -148,21 +155,12 @@ def _cmd_tune(args) -> int:
     dcfg = _dataset_config(file_cfg, args)
     cfg = _train_config(file_cfg, args)
     split = split_corpus(sample_corpus(dcfg))
-    if args.checkpoint is not None:
-        net = load_recognizer(args.checkpoint)
-    else:
-        net = _pretrained_baseline(dcfg, file_cfg, cfg, split)
-    base = evaluate_model(net, split.test, dcfg.alphabet, dataset_id="test")
+    net = None if args.checkpoint is None else load_recognizer(args.checkpoint)
     out = _out_dir(args)
-    result = run_post_tuning(
-        cfg, dcfg, split, net, _surrogate_net(dcfg, file_cfg, cfg.seed), out_dir=out
-    )
-    write_log_csv(out / "log.csv", result.logs)
-    report = evaluate_model(result.recognizer, split.test, dcfg.alphabet, dataset_id="test")
-    write_metrics_csv(out / "metrics.csv", report)
-    rel = relative_ted_improvement(base.ted, report.ted)
-    summary = format_summary(report) + (
-        f"\nted {base.ted} -> {report.ted} (relative improvement {rel:+.4f})"
+    run = run_experiment(cfg, dcfg, split, net, file_cfg, out)
+    rel = relative_ted_improvement(run.baseline.ted, run.tuned.ted)
+    summary = format_summary(run.tuned) + (
+        f"\nted {run.baseline.ted} -> {run.tuned.ted} (relative improvement {rel:+.4f})"
     )
     _write_summary(out, summary)
     return 0
@@ -184,6 +182,8 @@ def _cmd_scatter(args) -> int:
     file_cfg = _read_config(args.config)
     cfg = _train_config(file_cfg, args)
     logs = read_log_csv(args.log)
+    if not logs:
+        raise ValueError(f"{args.log} holds no log records")
     first = args.first_epoch
     last = args.last_epoch if args.last_epoch is not None else max(r.epoch for r in logs)
     out = _out_dir(args)

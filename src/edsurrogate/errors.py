@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check that names an
+unknown config key."""
 
 
 class CapacityError(ValueError):
@@ -23,3 +24,10 @@ class ConfigError(ValueError):
 
 class CheckpointError(ValueError):
     """A checkpoint file is malformed or truncated."""
+
+
+def reject_unknown_keys(section: str, data, known) -> None:
+    """Raise ConfigError naming the first key of data that is not in known."""
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown {section} key {unknown[0]!r}")

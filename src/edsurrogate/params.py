@@ -32,7 +32,6 @@ class ParamStore:
 
     def __init__(self):
         self._nodes: dict[str, DiffNode] = {}
-        self.iteration = 0
 
     def add(self, name: str, values) -> DiffNode:
         if not name:
@@ -42,6 +41,11 @@ class ParamStore:
         node = variable(values)
         self._nodes[name] = node
         return node
+
+    def add_uniform(self, name: str, rng, shape, fan_in: int) -> DiffNode:
+        """A parameter drawn from U(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
+        bound = np.sqrt(1.0 / fan_in)
+        return self.add(name, rng.uniform(-bound, bound, size=shape))
 
     def node(self, name: str) -> DiffNode:
         return self._nodes[name]
@@ -76,12 +80,6 @@ class ParamStore:
             )
         for name in self._nodes:
             self.assign(name, arrays[name])
-
-    def __len__(self):
-        return len(self._nodes)
-
-    def __contains__(self, name):
-        return name in self._nodes
 
 
 @dataclass(frozen=True)

@@ -46,14 +46,6 @@ class WordImage:
         pixels.setflags(write=False)
         object.__setattr__(self, "pixels", pixels)
 
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
 
 @dataclass(frozen=True)
 class RecognizerConfig:
@@ -79,11 +71,6 @@ class RecognizerConfig:
             raise ConfigError("kernel must be odd so same-padding is exact")
 
 
-def _uniform_init(rng, shape, fan_in):
-    bound = np.sqrt(1.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
 class RecognizerNet:
     """Conv stack over image columns + per-position linear head."""
 
@@ -94,16 +81,11 @@ class RecognizerNet:
         c_in = config.image_height
         for i, c_out in enumerate(config.channels):
             fan_in = c_in * config.kernel
-            self.params.add(
-                f"conv{i}.weight",
-                _uniform_init(rng, (c_out, c_in, config.kernel), fan_in),
-            )
-            self.params.add(f"conv{i}.bias", _uniform_init(rng, (c_out, 1), fan_in))
+            self.params.add_uniform(f"conv{i}.weight", rng, (c_out, c_in, config.kernel), fan_in)
+            self.params.add_uniform(f"conv{i}.bias", rng, (c_out, 1), fan_in)
             c_in = c_out
-        self.params.add(
-            "head.weight", _uniform_init(rng, (config.alphabet_size, c_in), c_in)
-        )
-        self.params.add("head.bias", _uniform_init(rng, (config.alphabet_size, 1), c_in))
+        self.params.add_uniform("head.weight", rng, (config.alphabet_size, c_in), c_in)
+        self.params.add_uniform("head.bias", rng, (config.alphabet_size, 1), c_in)
 
 
 def forward(images: WordImage | Sequence[WordImage], net: RecognizerNet) -> DiffNode:

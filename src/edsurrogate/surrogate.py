@@ -67,11 +67,6 @@ class SurrogateLossWeights:
             raise ConfigError("w2 must be >= 0")
 
 
-def _uniform_init(rng, shape, fan_in):
-    bound = np.sqrt(1.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
 class SurrogateNet:
     """Five conv1d layers + two FC layers over CharGrid inputs."""
 
@@ -82,21 +77,14 @@ class SurrogateNet:
         c_in = config.alphabet_size
         for i, c_out in enumerate(config.channels):
             fan_in = c_in * config.kernel
-            self.params.add(
-                f"conv{i}.weight",
-                _uniform_init(rng, (c_out, c_in, config.kernel), fan_in),
-            )
-            self.params.add(f"conv{i}.bias", _uniform_init(rng, (c_out, 1), fan_in))
+            self.params.add_uniform(f"conv{i}.weight", rng, (c_out, c_in, config.kernel), fan_in)
+            self.params.add_uniform(f"conv{i}.bias", rng, (c_out, 1), fan_in)
             c_in = c_out
-        self.params.add("fc1.weight", _uniform_init(rng, (config.hidden, c_in), c_in))
-        self.params.add("fc1.bias", _uniform_init(rng, (config.hidden, 1), c_in))
-        self.params.add(
-            "fc2.weight",
-            _uniform_init(rng, (config.embedding_dim, config.hidden), config.hidden),
-        )
-        self.params.add(
-            "fc2.bias", _uniform_init(rng, (config.embedding_dim, 1), config.hidden)
-        )
+        hidden, out_dim = config.hidden, config.embedding_dim
+        self.params.add_uniform("fc1.weight", rng, (hidden, c_in), c_in)
+        self.params.add_uniform("fc1.bias", rng, (hidden, 1), c_in)
+        self.params.add_uniform("fc2.weight", rng, (out_dim, hidden), hidden)
+        self.params.add_uniform("fc2.bias", rng, (out_dim, 1), hidden)
 
     @property
     def embedding_dim(self) -> int:
@@ -219,12 +207,6 @@ def surrogate_loss_parts(
         loss, e_hat, fit = (ad.reshape(node, ()) for node in (loss, e_hat, fit))
         penalty = None if penalty is None else ad.reshape(penalty, ())
     return SurrogateLossParts(loss=loss, e_hat=e_hat, fit=fit, penalty=penalty)
-
-
-def surrogate_loss(
-    z_hat, y_hat, e, net: SurrogateNet, weights: SurrogateLossWeights
-) -> DiffNode:
-    return surrogate_loss_parts(z_hat, y_hat, e, net, weights).loss
 
 
 def save_surrogate(path, net: SurrogateNet) -> None:

@@ -10,12 +10,12 @@ pure function of (config, seed): sample index i draws from rng([seed, i]).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError
+from .errors import CapacityError, ConfigError, reject_unknown_keys
 from .recognizer import WordImage
 from .text_metrics import Alphabet, CharGrid, edit_distance, encode_one_hot
 
@@ -58,24 +58,14 @@ class DatasetConfig:
         return cls(alphabet=Alphabet.from_string("_abcdefgh"), **overrides)
 
     def to_dict(self) -> dict:
-        out = {"alphabet": "".join(self.alphabet.symbols)}
-        for field in (
-            "capacity",
-            "image_height",
-            "image_width",
-            "glyph_width",
-            "corpus_size",
-            "noise_std",
-            "shift_range",
-            "seed",
-            "glyph_seed",
-        ):
-            out[field] = getattr(self, field)
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["alphabet"] = "".join(self.alphabet.symbols)
         return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "DatasetConfig":
         data = dict(data)
+        reject_unknown_keys("dataset", data, [f.name for f in fields(cls)])
         symbols = data.pop("alphabet")
         return cls(alphabet=Alphabet.from_string(symbols), **data)
 

@@ -89,10 +89,6 @@ class CharGrid:
     def alphabet_size(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def length_capacity(self) -> int:
-        return self.values.shape[1]
-
     def is_one_hot(self) -> bool:
         ones_per_col = (self.values == 1.0).sum(axis=0)
         zeros_ok = np.isin(self.values, (0.0, 1.0)).all()

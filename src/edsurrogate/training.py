@@ -1,10 +1,11 @@
 """Alternating post-tuning: surrogate regression phases interleaved with
-filtered recognizer tuning, plus the optimizer and the filtering function.
+filtered recognizer tuning, plus the optimizer, the filtering function and the
+factories that size fresh nets for a dataset.
 
 Modes: "feds" gates each recognizer update on the surrogate's per-sample
 approximation error; "lsed" trains without the gate and feeds the surrogate
-extra randomly generated word pairs; "baseline" is plain cross-entropy
-pretraining and never enters the alternation.
+extra randomly generated word pairs. Plain cross-entropy pretraining, the
+baseline both modes start from, is pretrain_recognizer.
 
 Every optimizer step builds one graph for its whole minibatch: the per-sample
 losses come out as a (1, B) row, and the step descends on their mean.
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +23,16 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import DiffNode
 from .blas import one_blas_thread
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError, reject_unknown_keys
 from .params import ParamStore
-from .recognizer import RecognizerNet, WordImage, ce_loss, forward, save_recognizer
+from .recognizer import (
+    RecognizerConfig,
+    RecognizerNet,
+    WordImage,
+    ce_loss,
+    forward,
+    save_recognizer,
+)
 from .surrogate import (
     SurrogateConfig,
     SurrogateLossWeights,
@@ -41,9 +49,8 @@ PHASE_PRETRAIN = "pretrain"
 PHASE_SURROGATE = "surrogate"
 PHASE_RECOGNIZER = "recognizer"
 
-MODES = ("feds", "lsed", "baseline")
+MODES = ("feds", "lsed")
 GATE_MODES = ("gated", "literal")
-OPTIMIZERS = ("adadelta", "sgd")
 
 GENERATED_SAMPLE_INDEX = -1
 
@@ -60,7 +67,6 @@ class TrainConfig:
     batch_size: int = 32
     mode: str = "feds"
     gate_mode: str = "gated"
-    optimizer: str = "adadelta"
     rho: float = 0.95
     eps: float = 1e-6
     pretrain_iterations: int = 2000
@@ -80,8 +86,6 @@ class TrainConfig:
             raise ConfigError(f"mode must be one of {MODES}")
         if self.gate_mode not in GATE_MODES:
             raise ConfigError(f"gate_mode must be one of {GATE_MODES}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}")
         if not 0 <= self.rho < 1 or self.eps <= 0:
             raise ConfigError("rho must lie in [0, 1) and eps must be positive")
 
@@ -107,35 +111,19 @@ class TrainConfig:
         return cls(**desk)
 
     def to_dict(self) -> dict:
-        out = {}
-        for name in (
-            "i_a",
-            "i_b",
-            "epochs",
-            "eta_a",
-            "eta_b",
-            "eta_pre",
-            "lam",
-            "batch_size",
-            "mode",
-            "gate_mode",
-            "optimizer",
-            "rho",
-            "eps",
-            "pretrain_iterations",
-            "seed",
-        ):
-            out[name] = getattr(self, name)
-        out["w1"] = self.weights.w1
-        out["w2"] = self.weights.w2
+        """Flat dict: every field, with the loss weights as w1 and w2."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "weights"}
+        out.update(asdict(self.weights))
         return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
         data = dict(data)
-        w1 = data.pop("w1", 1.0)
-        w2 = data.pop("w2", 0.1)
-        return cls(weights=SurrogateLossWeights(w1=w1, w2=w2), **data)
+        weight_names = [f.name for f in fields(SurrogateLossWeights)]
+        known = [f.name for f in fields(cls) if f.name != "weights"] + weight_names
+        reject_unknown_keys("train", data, known)
+        weights = {name: data.pop(name) for name in weight_names if name in data}
+        return cls(weights=SurrogateLossWeights(**weights), **data)
 
 
 @dataclass(frozen=True)
@@ -246,27 +234,14 @@ def adadelta_step(
         acc *= rho
         acc += (1.0 - rho) * delta * delta
         params.assign(name, params.node(name).values - lr * delta)
-    params.iteration += 1
-
-
-def sgd_step(params: ParamStore, grads: dict[str, np.ndarray], lr: float) -> None:
-    for name in params.names():
-        params.assign(name, params.node(name).values - lr * grads[name])
-    params.iteration += 1
-
-
-def _apply_step(params, grads, state, cfg: TrainConfig, lr: float) -> None:
-    if cfg.optimizer == "adadelta":
-        adadelta_step(params, grads, state, cfg.rho, cfg.eps, lr)
-    else:
-        sgd_step(params, grads, lr)
 
 
 def _descend(params: ParamStore, losses: DiffNode, state, cfg: TrainConfig, lr: float):
     """One optimizer step on the batch mean of a (1, B) row of per-sample losses."""
     root = ad.mul_scalar(ad.sum_all(losses), 1.0 / losses.shape[1])
     grads = ad.backward(root, params.nodes())
-    _apply_step(params, {n: g.values for n, g in zip(params.names(), grads)}, state, cfg, lr)
+    values = {name: g.values for name, g in zip(params.names(), grads)}
+    adadelta_step(params, values, state, cfg.rho, cfg.eps, lr)
 
 
 @contextmanager
@@ -444,10 +419,38 @@ class PostTuningResult:
     logs: list[PhaseLogRecord]
 
 
-def default_surrogate_config(dcfg: DatasetConfig, seed: int) -> SurrogateConfig:
-    return SurrogateConfig(
-        alphabet_size=len(dcfg.alphabet), capacity=dcfg.capacity, seed=seed
+def _net_config(config_class, section: str, derived: dict, overrides: dict | None):
+    """config_class built from derived values, overridden by the keys of a
+    config file section."""
+    values = dict(overrides or {})
+    reject_unknown_keys(section, values, [f.name for f in fields(config_class)])
+    if "channels" in values:
+        values["channels"] = tuple(values["channels"])
+    return config_class(**{**derived, **values})
+
+
+def build_recognizer(
+    dcfg: DatasetConfig, seed: int, overrides: dict | None = None
+) -> RecognizerNet:
+    """A fresh recognizer sized for dcfg's images and alphabet; overrides
+    holds a config file's "recognizer" section."""
+    derived = dict(
+        alphabet_size=len(dcfg.alphabet),
+        capacity=dcfg.capacity,
+        image_height=dcfg.image_height,
+        image_width=dcfg.image_width,
+        seed=seed,
     )
+    return RecognizerNet(_net_config(RecognizerConfig, "recognizer", derived, overrides))
+
+
+def build_surrogate(
+    dcfg: DatasetConfig, seed: int, overrides: dict | None = None
+) -> SurrogateNet:
+    """A fresh surrogate for dcfg's grids; overrides holds a config file's
+    "surrogate" section."""
+    derived = dict(alphabet_size=len(dcfg.alphabet), capacity=dcfg.capacity, seed=seed)
+    return SurrogateNet(_net_config(SurrogateConfig, "surrogate", derived, overrides))
 
 
 def run_post_tuning(
@@ -460,10 +463,8 @@ def run_post_tuning(
 ) -> PostTuningResult:
     """epochs alternations of (surrogate phase, recognizer phase), starting
     from a pretrained recognizer and a freshly initialized surrogate."""
-    if cfg.mode == "baseline":
-        raise ConfigError("post-tuning requires mode feds or lsed")
     if surrogate_net is None:
-        surrogate_net = SurrogateNet(default_surrogate_config(dcfg, cfg.seed))
+        surrogate_net = build_surrogate(dcfg, cfg.seed)
     logs: list[PhaseLogRecord] = []
     state_a = OptimizerState(surrogate_net.params)
     state_b = OptimizerState(recognizer.params)

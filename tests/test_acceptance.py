@@ -15,9 +15,9 @@ import pytest
 
 from edsurrogate import autodiff as ad
 from edsurrogate.cli import main as cli_main
+from edsurrogate.cli import run_experiment
 from edsurrogate.evaluation import (
     MetricsReport,
-    evaluate_model,
     in_band_fraction,
     relative_ted_improvement,
     write_log_csv,
@@ -49,6 +49,8 @@ from edsurrogate.text_metrics import (
 from edsurrogate.training import (
     OptimizerState,
     TrainConfig,
+    build_recognizer,
+    build_surrogate,
     filtered_str_loss_parts,
     pretrain_recognizer,
     run_post_tuning,
@@ -260,19 +262,9 @@ def test_criterion_4_surrogate_fit_on_held_out_pairs():
         # random embedding already scores near-zero |e_hat - e| for free,
         # leaving nothing for one phase to improve on held-out data.
         cfg = TrainConfig.desk(seed=0, i_a=500, pretrain_iterations=500)
-        rnet = RecognizerNet(
-            RecognizerConfig(
-                alphabet_size=len(dcfg.alphabet),
-                capacity=dcfg.capacity,
-                image_height=dcfg.image_height,
-                image_width=dcfg.image_width,
-                seed=0,
-            )
-        )
+        rnet = build_recognizer(dcfg, 0)
         pretrain_recognizer(split.train, rnet, cfg, dcfg)
-        snet = SurrogateNet(
-            SurrogateConfig(alphabet_size=len(dcfg.alphabet), capacity=dcfg.capacity, seed=0)
-        )
+        snet = build_surrogate(dcfg, 0)
         before = _held_out_fit(split.val, rnet, snet, dcfg)
         train_surrogate_phase(
             split.train, rnet, snet, cfg, dcfg, 1, OptimizerState(snet.params), []
@@ -300,27 +292,14 @@ def desk_runs() -> list[DeskRun]:
     runs = []
     for seed in range(5):
         dcfg = DatasetConfig.desk(seed=seed)
-        split = split_corpus(sample_corpus(dcfg))
         cfg = TrainConfig.desk(seed=seed)
-        rnet = RecognizerNet(
-            RecognizerConfig(
-                alphabet_size=len(dcfg.alphabet),
-                capacity=dcfg.capacity,
-                image_height=dcfg.image_height,
-                image_width=dcfg.image_width,
-                seed=seed,
-            )
-        )
-        pretrain_recognizer(split.train, rnet, cfg, dcfg)
-        baseline = evaluate_model(rnet, split.test, dcfg.alphabet)
-        result = run_post_tuning(cfg, dcfg, split, rnet)
-        tuned = evaluate_model(result.recognizer, split.test, dcfg.alphabet)
+        run = run_experiment(cfg, dcfg, split_corpus(sample_corpus(dcfg)))
         runs.append(
             DeskRun(
-                baseline=baseline,
-                tuned=tuned,
-                early_in_band=in_band_fraction(result.logs, 1, 1, cfg.lam),
-                late_in_band=in_band_fraction(result.logs, 4, 5, cfg.lam),
+                baseline=run.baseline,
+                tuned=run.tuned,
+                early_in_band=in_band_fraction(run.result.logs, 1, 1, cfg.lam),
+                late_in_band=in_band_fraction(run.result.logs, 4, 5, cfg.lam),
             )
         )
     return runs
@@ -357,15 +336,7 @@ def test_criterion_7_unfiltered_arm_differs(tmp_path):
         base_cfg = TrainConfig.desk(
             seed=6, epochs=2, i_a=10, i_b=10, batch_size=8, pretrain_iterations=100
         )
-        rnet = RecognizerNet(
-            RecognizerConfig(
-                alphabet_size=len(dcfg.alphabet),
-                capacity=dcfg.capacity,
-                image_height=dcfg.image_height,
-                image_width=dcfg.image_width,
-                seed=6,
-            )
-        )
+        rnet = build_recognizer(dcfg, 6)
         pretrain_recognizer(split.train, rnet, base_cfg, dcfg)
         arrays = rnet.params.to_arrays()
 

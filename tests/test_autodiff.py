@@ -86,8 +86,6 @@ ELEMENTWISE_CASES = [
     ("clamp_min", lambda x: ad.sum_all(ad.clamp_min(x, 0.9))),
     ("clip_max", lambda x: ad.sum_all(ad.clip_max(x, 0.9))),
     ("abs_val", lambda x: ad.sum_all(ad.abs_val(x))),
-    ("abs_smooth", lambda x: ad.sum_all(ad.abs_smooth(x))),
-    ("mean_all", lambda x: ad.mean_all(ad.square(x))),
 ]
 
 

@@ -5,7 +5,12 @@ import json
 import pytest
 
 from edsurrogate.cli import main
-from edsurrogate.evaluation import read_log_csv, read_metrics_csv, read_scatter_csv
+from edsurrogate.evaluation import (
+    read_log_csv,
+    read_metrics_csv,
+    read_scatter_csv,
+    write_log_csv,
+)
 from edsurrogate.synth_data import DatasetConfig, load_dataset
 
 TINY = {
@@ -228,3 +233,39 @@ def test_divergence_is_one_error_line_naming_the_step(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("error: pretrain phase diverged at epoch 0, iteration ")
+
+
+@pytest.mark.parametrize(
+    "section,key,command",
+    [
+        ("train", "optimiser", "train-baseline"),
+        ("train", "optimizer", "train-baseline"),  # an option that no longer exists
+        ("dataset", "colour", "gen-data"),
+        ("recognizer", "chanels", "train-baseline"),
+        ("surrogate", "hiden", "tune"),
+    ],
+)
+def test_unknown_config_key_is_one_error_line(tmp_path, capsys, section, key, command):
+    config = {"dataset": {"corpus_size": 20}, "train": {"pretrain_iterations": 1}}
+    config.setdefault(section, {})[key] = 1
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: unknown {section} key {key!r}\n"
+
+
+def test_unknown_config_section_is_rejected(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"trian": {}}), encoding="utf-8")
+    assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "d")]) == 2
+    assert capsys.readouterr().err == "error: unknown config key 'trian'\n"
+
+
+def test_scatter_on_header_only_log_says_it_has_no_records(tmp_path, capsys):
+    log = tmp_path / "log.csv"
+    write_log_csv(log, [])
+    code = main(["scatter", "--out", str(tmp_path / "s"), "--log", str(log)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {log} holds no log records\n"

@@ -15,6 +15,8 @@ from edsurrogate.training import (
     OptimizerState,
     TrainConfig,
     adadelta_step,
+    build_recognizer,
+    build_surrogate,
     filter_value,
     filtered_str_loss_parts,
     pretrain_recognizer,
@@ -66,6 +68,16 @@ def test_config_validation():
 def test_config_dict_round_trip():
     cfg = TrainConfig(lam=0.4, mode="lsed", weights=SurrogateLossWeights(w2=0.2))
     assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_net_factories_size_nets_for_the_dataset_and_apply_overrides():
+    rnet = build_recognizer(DCFG, 4, {"channels": [8]})
+    assert rnet.config == RecognizerConfig(
+        alphabet_size=9, capacity=8, image_height=12, image_width=32, channels=(8,), seed=4
+    )
+    snet = build_surrogate(DCFG, 4, {"hidden": 16})
+    assert snet.config == SurrogateConfig(alphabet_size=9, capacity=8, hidden=16, seed=4)
+    assert build_surrogate(DCFG, 4).config == SurrogateConfig(alphabet_size=9, capacity=8, seed=4)
 
 
 def test_default_lambda_in_stated_range():
@@ -270,9 +282,9 @@ def test_post_tuning_loop_accounting():
 
 
 def test_post_tuning_rejects_baseline_mode():
-    split = split_corpus(sample_corpus(DCFG))
-    with pytest.raises(ConfigError):
-        run_post_tuning(small_config(mode="baseline"), DCFG, split, RecognizerNet(RCFG))
+    # Pretraining is the baseline; no post-tuning config can name it.
+    with pytest.raises(ConfigError, match="mode must be one of"):
+        small_config(mode="baseline")
 
 
 def test_post_tuning_is_deterministic():
