@@ -56,28 +56,6 @@ class DiffNode:
     def __repr__(self):
         return f"DiffNode(op={self.op!r}, shape={self.shape}, grad={self.requires_grad})"
 
-    # Light operator sugar for scalar arithmetic in loss expressions.
-    def __add__(self, other):
-        return add(self, other) if isinstance(other, DiffNode) else add_scalar(self, other)
-
-    def __radd__(self, other):
-        return add_scalar(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other) if isinstance(other, DiffNode) else add_scalar(self, -other)
-
-    def __rsub__(self, other):
-        return add_scalar(neg(self), other)
-
-    def __mul__(self, other):
-        return mul(self, other) if isinstance(other, DiffNode) else mul_scalar(self, other)
-
-    def __rmul__(self, other):
-        return mul_scalar(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
 
 def constant(values) -> DiffNode:
     """Leaf that is never differentiated; input array is copied."""

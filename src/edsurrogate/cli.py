@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,8 @@ from .evaluation import (
     write_log_csv,
     write_metrics_csv,
 )
-from .recognizer import RecognizerNet, load_recognizer, save_recognizer
+from .recognizer import RecognizerConfig, RecognizerNet, load_recognizer, save_recognizer
+from .surrogate import SurrogateConfig
 from .synth_data import DatasetConfig, SplitCorpus, sample_corpus, save_dataset, split_corpus
 from .text_metrics import MetricsReport
 from .training import (
@@ -42,7 +43,13 @@ from .training import (
     run_post_tuning,
 )
 
-SECTIONS = ("dataset", "train", "recognizer", "surrogate")
+# Config file sections and the keys each accepts.
+SECTION_KEYS = {
+    "dataset": list(DatasetConfig.desk().to_dict()),
+    "train": list(TrainConfig.desk().to_dict()),
+    "recognizer": [f.name for f in fields(RecognizerConfig)],
+    "surrogate": [f.name for f in fields(SurrogateConfig)],
+}
 
 
 @dataclass
@@ -87,10 +94,13 @@ def _read_config(path: str | None) -> dict:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
-    reject_unknown_keys("config", data, ("seed", *SECTIONS))
-    for name in SECTIONS:
+    reject_unknown_keys("config", data, ("seed", *SECTION_KEYS))
+    # Every section is checked, whichever the command reads, so that any
+    # command reports a misspelled key.
+    for name, keys in SECTION_KEYS.items():
         if not isinstance(data.get(name, {}), dict):
             raise ConfigError(f"config section {name!r} must be a JSON object")
+        reject_unknown_keys(name, data.get(name, {}), keys)
     return data
 
 
@@ -169,9 +179,10 @@ def _cmd_tune(args) -> int:
 def _cmd_evaluate(args) -> int:
     file_cfg = _read_config(args.config)
     dcfg = _dataset_config(file_cfg, args)
+    net = load_recognizer(args.checkpoint)
     split = split_corpus(sample_corpus(dcfg))
     images = getattr(split, args.split)
-    report = evaluate_model(args.checkpoint, images, dcfg.alphabet, dataset_id=args.split)
+    report = evaluate_model(net, images, dcfg.alphabet, dataset_id=args.split)
     out = _out_dir(args)
     write_metrics_csv(out / "metrics.csv", report)
     _write_summary(out, format_summary(report))

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .blas import one_blas_thread
 from .errors import ConfigError
-from .recognizer import RecognizerNet, WordImage, load_recognizer, recognize
+from .recognizer import RecognizerNet, WordImage, recognize
 from .text_metrics import Alphabet, MetricsReport, decode_greedy, evaluate_set
 from .training import PHASE_RECOGNIZER, PhaseLogRecord
 
@@ -27,10 +27,9 @@ EVAL_CHUNK = 32
 
 @one_blas_thread()
 def evaluate_model(
-    model, images: list[WordImage], alphabet: Alphabet, dataset_id: str = ""
+    net: RecognizerNet, images: list[WordImage], alphabet: Alphabet, dataset_id: str = ""
 ) -> MetricsReport:
     """Greedy-decode every image and score against its label."""
-    net = model if isinstance(model, RecognizerNet) else load_recognizer(model)
     if net.config.alphabet_size != len(alphabet):
         raise ConfigError(
             f"model alphabet size {net.config.alphabet_size} != dataset {len(alphabet)}"

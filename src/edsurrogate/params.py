@@ -129,6 +129,17 @@ def pop_network_meta(arrays: dict[str, np.ndarray]) -> dict:
     return fields
 
 
+def tensor_shape(arrays: dict[str, np.ndarray], name: str, ndim: int, family: str) -> tuple:
+    """The shape of tensor name in a family checkpoint, which must be
+    present with ndim dims."""
+    if name not in arrays:
+        raise CheckpointError(f"missing tensor {name!r} in {family} checkpoint")
+    shape = arrays[name].shape
+    if len(shape) != ndim:
+        raise CheckpointError(f"tensor {name!r} in {family} checkpoint has shape {shape}")
+    return shape
+
+
 def save_checkpoint(path, header: CheckpointHeader, arrays: dict[str, np.ndarray]) -> None:
     path = Path(path)
     with open(path, "wb") as fh:

@@ -24,6 +24,7 @@ from .params import (
     network_meta,
     pop_network_meta,
     save_checkpoint,
+    tensor_shape,
 )
 from .text_metrics import CharGrid, split_grids
 
@@ -116,32 +117,25 @@ def forward(images: WordImage | Sequence[WordImage], net: RecognizerNet) -> Diff
     return ad.softmax_columns(logits)
 
 
-def recognize(
-    images: WordImage | Sequence[WordImage], net: RecognizerNet
-) -> CharGrid | list[CharGrid]:
-    """The grid of one image, or the list of grids of a sequence of images."""
-    values = forward(images, net).values
-    if isinstance(images, WordImage):
-        return CharGrid(values)
-    return split_grids(values, len(images))
+def recognize(images: Sequence[WordImage], net: RecognizerNet) -> list[CharGrid]:
+    """The grid of each image of a sequence."""
+    return split_grids(forward(images, net).values, len(images))
 
 
-def ce_loss(z_hat, y_hat: CharGrid | Sequence[CharGrid]) -> DiffNode:
-    """Mean cross entropy -(1/(L|A|)) sum y log z per sample, log clamped
-    at 1e-12. One target grid gives a scalar; a sequence of B targets, laid
-    side by side like forward's batch output, gives a (1, B) row."""
-    targets = [y_hat] if isinstance(y_hat, CharGrid) else list(y_hat)
+def ce_loss(z_hat: DiffNode, y_hat: Sequence[CharGrid]) -> DiffNode:
+    """(1, B) row of per-sample mean cross entropy -(1/(L|A|)) sum y log z,
+    log clamped at 1e-12, for B target grids laid side by side like
+    forward's output."""
+    targets = list(y_hat)
     if not targets or not all(isinstance(t, CharGrid) and t.is_one_hot() for t in targets):
         raise ValueError("target grid must be one-hot")
     y_values = np.concatenate([t.values for t in targets], axis=1)
-    z_node = ad.constant(z_hat.values) if isinstance(z_hat, CharGrid) else z_hat
-    if z_node.shape != y_values.shape:
-        raise ShapeError(f"prediction shape {z_node.shape} != target shape {y_values.shape}")
+    if z_hat.shape != y_values.shape:
+        raise ShapeError(f"prediction shape {z_hat.shape} != target shape {y_values.shape}")
     alphabet_size, capacity = targets[0].values.shape
-    logs = ad.log(ad.clamp_min(z_node, 1e-12))
+    logs = ad.log(ad.clamp_min(z_hat, 1e-12))
     products = ad.segment_sum(ad.mul(ad.constant(y_values), logs), len(targets))
-    row = ad.mul_scalar(ad.sum_axis(products, 0), -1.0 / (capacity * alphabet_size))
-    return ad.reshape(row, ()) if isinstance(y_hat, CharGrid) else row
+    return ad.mul_scalar(ad.sum_axis(products, 0), -1.0 / (capacity * alphabet_size))
 
 
 def save_recognizer(path, net: RecognizerNet) -> None:
@@ -162,19 +156,18 @@ def save_recognizer(path, net: RecognizerNet) -> None:
 def load_recognizer(path) -> RecognizerNet:
     header, arrays = load_checkpoint(path)
     network = pop_network_meta(arrays)
-    try:
-        meta = arrays.pop(META_IMAGE_SHAPE)
-        kernel = arrays["conv0.weight"].shape[2]
-    except KeyError as exc:
-        raise CheckpointError(f"missing tensor {exc} in recognizer checkpoint") from exc
+    if tensor_shape(arrays, META_IMAGE_SHAPE, 1, "recognizer") != (2,):
+        raise CheckpointError(f"tensor {META_IMAGE_SHAPE!r} must hold the image height and width")
+    height, width = arrays.pop(META_IMAGE_SHAPE)
+    kernel = tensor_shape(arrays, "conv0.weight", 3, "recognizer")[2]
     channels = []
     while f"conv{len(channels)}.weight" in arrays:
-        channels.append(arrays[f"conv{len(channels)}.weight"].shape[0])
+        channels.append(tensor_shape(arrays, f"conv{len(channels)}.weight", 3, "recognizer")[0])
     config = RecognizerConfig(
         alphabet_size=header.alphabet_size,
         capacity=header.capacity,
-        image_height=int(meta[0]),
-        image_width=int(meta[1]),
+        image_height=int(height),
+        image_width=int(width),
         channels=tuple(channels),
         kernel=kernel,
         **network,

@@ -25,6 +25,7 @@ from .params import (
     network_meta,
     pop_network_meta,
     save_checkpoint,
+    tensor_shape,
 )
 from .text_metrics import CharGrid
 
@@ -92,16 +93,14 @@ class SurrogateNet:
 
 
 def _as_grid_node(grids, config: SurrogateConfig) -> DiffNode:
-    """One node holding the grids side by side: a CharGrid, a sequence of
-    CharGrids, or a DiffNode that already holds B grids."""
+    """One node holding the grids side by side: a sequence of CharGrids, or
+    a DiffNode that already holds B grids."""
     if isinstance(grids, DiffNode):
         node = grids
-    elif isinstance(grids, CharGrid):
-        node = ad.constant(grids.values)
     elif isinstance(grids, Sequence) and grids and all(isinstance(g, CharGrid) for g in grids):
         node = ad.constant(np.concatenate([g.values for g in grids], axis=1))
     else:
-        raise TypeError("expected CharGrid, a non-empty sequence of CharGrids, or DiffNode")
+        raise TypeError("expected a non-empty sequence of CharGrids, or a DiffNode")
     if (
         node.ndim != 2
         or node.shape[0] != config.alphabet_size
@@ -116,11 +115,9 @@ def _as_grid_node(grids, config: SurrogateConfig) -> DiffNode:
 
 
 def embed(grids, net: SurrogateNet) -> DiffNode:
-    """Deterministic embedding, differentiable in grids and weights.
-
-    One CharGrid gives an (E,) vector. A sequence of B CharGrids, or a
-    DiffNode holding B grids side by side, gives (E, B), one column each.
-    """
+    """Deterministic (E, B) embedding of B grids, one column each,
+    differentiable in grids and weights. grids is a sequence of B CharGrids
+    or a DiffNode holding B grids side by side."""
     config = net.config
     x = _as_grid_node(grids, config)
     batch = x.shape[1] // config.capacity
@@ -134,34 +131,14 @@ def embed(grids, net: SurrogateNet) -> DiffNode:
         ad.linear(net.params.node("fc1.weight"), pooled, net.params.node("fc1.bias")),
         config.slope,
     )
-    out = ad.linear(net.params.node("fc2.weight"), h, net.params.node("fc2.bias"))
-    return ad.reshape(out, (config.embedding_dim,)) if isinstance(grids, CharGrid) else out
+    return ad.linear(net.params.node("fc2.weight"), h, net.params.node("fc2.bias"))
 
 
-def _batch_size(e) -> int | None:
-    """None for one sample (an int e), else the number of samples."""
-    if isinstance(e, (int, np.integer)):
-        if e < 0:
-            raise ValueError("edit distance must be non-negative")
-        return None
-    if len(e) == 0 or min(e) < 0:
-        raise ValueError("edit distances must be a non-empty sequence of non-negative ints")
-    return len(e)
-
-
-def distance_row(z_node: DiffNode, y_embedding: DiffNode, net: SurrogateNet) -> DiffNode:
+def distance_row(z_hat, y_embedding: DiffNode, net: SurrogateNet) -> DiffNode:
     """(1, B) row of Euclidean distances between the embeddings of the B
-    grids in z_node and the B columns of y_embedding."""
-    diff = ad.sub(embed(z_node, net), y_embedding)
+    grids in z_hat and the B columns of y_embedding."""
+    diff = ad.sub(embed(z_hat, net), y_embedding)
     return ad.segment_norms(diff, diff.shape[1])
-
-
-def surrogate_distance(z_hat, y_hat, net: SurrogateNet) -> DiffNode:
-    """Euclidean distance between the two embeddings (symmetric, >= 0):
-    a scalar for two CharGrids, a (1, B) row for two batches of B grids."""
-    y_node = _as_grid_node(y_hat, net.config)
-    row = distance_row(_as_grid_node(z_hat, net.config), embed(y_node, net), net)
-    return ad.reshape(row, ()) if isinstance(y_hat, CharGrid) else row
 
 
 @dataclass(frozen=True)
@@ -173,39 +150,35 @@ class SurrogateLossParts:
 
 
 def surrogate_loss_parts(
-    z_hat, y_hat, e, net: SurrogateNet, weights: SurrogateLossWeights
+    z_hat, y_hat, e: Sequence[int], net: SurrogateNet, weights: SurrogateLossWeights
 ) -> SurrogateLossParts:
-    """Loss w1*(e_hat - e)^2 + w2*(||d e_hat/d z||_2 - 1)^2 with its pieces.
+    """(1, B) rows of the loss w1*(e_hat - e)^2 + w2*(||d e_hat/d z||_2 - 1)^2
+    and its pieces, for B distances e and B grids in z_hat and in y_hat.
 
-    One sample (an int e) gives scalar parts. A batch of B samples (a
-    sequence e, with B grids in z_hat and in y_hat) gives (1, B) rows. The
-    penalty gradient is taken w.r.t. the predicted grids only, with
+    The penalty gradient is taken w.r.t. the predicted grids only, with
     create_graph set so the loss stays differentiable in the weights;
     samples do not interact, so one backward of sum(e_hat) gives every
     sample's gradient as its own column block.
     """
-    batch = _batch_size(e)
+    if len(e) == 0 or min(e) < 0:
+        raise ValueError("edit distances must be a non-empty sequence of non-negative ints")
     if isinstance(z_hat, DiffNode):
         z_node = z_hat
     else:
         z_node = ad.variable(_as_grid_node(z_hat, net.config).values)
     if not z_node.requires_grad:
         raise ShapeError("predicted grid must participate in differentiation")
-    segments = batch or 1
-    if z_node.shape[1] != segments * net.config.capacity:
-        raise ShapeError(f"predicted grids {z_node.shape} do not hold {segments} samples")
-    e_row = ad.constant(np.reshape(np.asarray(e, dtype=np.float64), (1, segments)))
-    e_hat = distance_row(z_node, embed(_as_grid_node(y_hat, net.config), net), net)
+    if z_node.shape[1] != len(e) * net.config.capacity:
+        raise ShapeError(f"predicted grids {z_node.shape} do not hold {len(e)} samples")
+    e_row = ad.constant(np.reshape(np.asarray(e, dtype=np.float64), (1, len(e))))
+    e_hat = distance_row(z_node, embed(y_hat, net), net)
     fit = ad.square(ad.sub(e_hat, e_row))
     loss = ad.mul_scalar(fit, weights.w1)
     penalty = None
     if weights.w2 > 0:
         (grad_z,) = ad.backward(ad.sum_all(e_hat), [z_node], create_graph=True)
-        penalty = ad.square(ad.add_scalar(ad.segment_norms(grad_z, segments), -1.0))
+        penalty = ad.square(ad.add_scalar(ad.segment_norms(grad_z, len(e)), -1.0))
         loss = ad.add(loss, ad.mul_scalar(penalty, weights.w2))
-    if batch is None:
-        loss, e_hat, fit = (ad.reshape(node, ()) for node in (loss, e_hat, fit))
-        penalty = None if penalty is None else ad.reshape(penalty, ())
     return SurrogateLossParts(loss=loss, e_hat=e_hat, fit=fit, penalty=penalty)
 
 
@@ -225,13 +198,9 @@ def load_surrogate(path) -> SurrogateNet:
     """Rebuild a net from a checkpoint; layer sizes come from tensor shapes."""
     header, arrays = load_checkpoint(path)
     network = pop_network_meta(arrays)
-    try:
-        channels = tuple(arrays[f"conv{i}.weight"].shape[0] for i in range(CONV_LAYERS))
-        kernel = arrays["conv0.weight"].shape[2]
-        hidden = arrays["fc1.weight"].shape[0]
-        out_dim = arrays["fc2.weight"].shape[0]
-    except KeyError as exc:
-        raise CheckpointError(f"missing tensor {exc} in surrogate checkpoint") from exc
+    convs = [tensor_shape(arrays, f"conv{i}.weight", 3, "surrogate") for i in range(CONV_LAYERS)]
+    hidden = tensor_shape(arrays, "fc1.weight", 2, "surrogate")[0]
+    out_dim = tensor_shape(arrays, "fc2.weight", 2, "surrogate")[0]
     if out_dim != header.embedding_dim:
         raise CheckpointError(
             f"header embedding_dim {header.embedding_dim} != fc2 rows {out_dim}"
@@ -240,8 +209,8 @@ def load_surrogate(path) -> SurrogateNet:
         alphabet_size=header.alphabet_size,
         capacity=header.capacity,
         embedding_dim=header.embedding_dim,
-        channels=channels,
-        kernel=kernel,
+        channels=tuple(shape[0] for shape in convs),
+        kernel=convs[0][2],
         hidden=hidden,
         **network,
     )

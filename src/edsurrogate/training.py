@@ -140,23 +140,21 @@ class PhaseLogRecord:
 
 # --- filtering --------------------------------------------------------------
 
-def filter_value(e, e_hat, lam: float):
-    """min(|e_hat - e|, lam). On a DiffNode (a scalar, or a (1, B) row with
-    e a sequence of B distances) the clipped branch, including the
-    |err| = lam boundary, carries a zero sub-gradient."""
+def filter_value(e, e_hat: DiffNode, lam: float) -> DiffNode:
+    """min(|e_hat - e|, lam) for a (1, B) row e_hat and B distances e. The
+    clipped branch, including the |err| = lam boundary, carries a zero
+    sub-gradient."""
     if not lam > 0:
         raise ConfigError("lambda must be > 0")
-    if isinstance(e_hat, DiffNode):
-        e_values = ad.constant(np.reshape(np.asarray(e, dtype=np.float64), e_hat.shape))
-        return ad.clip_max(ad.abs_val(ad.sub(e_hat, e_values)), lam)
-    return min(abs(float(e_hat) - float(e)), lam)
+    e_values = ad.constant(np.reshape(np.asarray(e, dtype=np.float64), e_hat.shape))
+    return ad.clip_max(ad.abs_val(ad.sub(e_hat, e_values)), lam)
 
 
 @dataclass(frozen=True)
 class FilteredLossParts:
     loss: DiffNode
     e_hat: DiffNode
-    gate_open: bool | tuple[bool, ...]
+    gate_open: tuple[bool, ...]
 
 
 def filtered_str_loss_parts(
@@ -172,23 +170,19 @@ def filtered_str_loss_parts(
     indicator held constant; literal mode differentiates min(|err|, lam) as
     written. Both give exactly zero gradient once |e_hat - e| >= lam.
 
-    One sample (an int e) gives a scalar loss and e_hat and a bool gate. A
-    batch of B samples (a sequence e, with B grids side by side in z_hat and
-    B target grids in y_hat) gives (1, B) rows and a tuple of B gates.
+    B distances e, with B predicted grids side by side in z_hat and B target
+    grids in y_hat, give (1, B) rows of loss and e_hat and a tuple of B gates.
 
-    y_embedding, when given, must be the detached embedding of y_hat under
-    the same frozen net; it skips recomputing the target branch.
+    y_embedding, when given, must be the detached (E, B) embedding of y_hat
+    under the same frozen net; it skips recomputing the target branch.
     """
     if not lam > 0:
         raise ConfigError("lambda must be > 0")
     if gate_mode not in GATE_MODES:
         raise ConfigError(f"gate_mode must be one of {GATE_MODES}")
-    z_node = ad.constant(z_hat.values) if isinstance(z_hat, CharGrid) else z_hat
     if y_embedding is None:
         y_embedding = embed(y_hat, net)
-    if y_embedding.ndim == 1:
-        y_embedding = ad.reshape(y_embedding, (-1, 1))
-    e_hat = distance_row(z_node, y_embedding, net)
+    e_hat = distance_row(z_hat, y_embedding, net)
     e_values = np.asarray(e, dtype=np.float64).reshape(1, -1)
     if e_values.shape != e_hat.shape:
         raise ShapeError(f"{e_values.size} edit distances for {e_hat.shape[1]} samples")
@@ -197,10 +191,6 @@ def filtered_str_loss_parts(
         loss = ad.mul(e_hat, ad.constant(gates.astype(np.float64)))
     else:
         loss = filter_value(e, e_hat, lam)
-    if isinstance(e, (int, np.integer)):
-        return FilteredLossParts(
-            loss=ad.reshape(loss, ()), e_hat=ad.reshape(e_hat, ()), gate_open=bool(gates[0, 0])
-        )
     return FilteredLossParts(loss=loss, e_hat=e_hat, gate_open=tuple(gates[0].tolist()))
 
 

@@ -34,8 +34,8 @@ from edsurrogate.surrogate import (
     SurrogateConfig,
     SurrogateLossWeights,
     SurrogateNet,
+    distance_row,
     embed,
-    surrogate_distance,
     surrogate_loss_parts,
 )
 from edsurrogate.synth_data import DatasetConfig, sample_corpus, split_corpus
@@ -151,9 +151,9 @@ def test_criterion_2_gradients_match_central_differences():
         def ce_recompute(arrays):
             probe = RecognizerNet(REC_TINY)
             probe.params.load_arrays(arrays)
-            return ce_loss(forward(image, probe), target).item()
+            return ad.sum_all(ce_loss(forward(image, probe), [target])).item()
 
-        root = ce_loss(forward(image, net), target)
+        root = ad.sum_all(ce_loss(forward(image, net), [target]))
         grads = dict(
             zip(net.params.names(), ad.backward(root, net.params.nodes()))
         )
@@ -166,9 +166,9 @@ def test_criterion_2_gradients_match_central_differences():
         def dist_recompute(arrays):
             probe = SurrogateNet(SUR_TINY)
             probe.params.load_arrays(arrays)
-            return surrogate_distance(z, y, probe).item()
+            return ad.sum_all(distance_row([z], embed([y], probe), probe)).item()
 
-        root = surrogate_distance(z, y, snet)
+        root = ad.sum_all(distance_row([z], embed([y], snet), snet))
         grads = dict(
             zip(snet.params.names(), ad.backward(root, snet.params.nodes()))
         )
@@ -181,11 +181,11 @@ def test_criterion_2_gradients_match_central_differences():
             def term_recompute(arrays, term=term):
                 probe = SurrogateNet(SUR_TINY)
                 probe.params.load_arrays(arrays)
-                parts = surrogate_loss_parts(z, y, 2, probe, weights)
-                return getattr(parts, term).item()
+                parts = surrogate_loss_parts([z], [y], [2], probe, weights)
+                return ad.sum_all(getattr(parts, term)).item()
 
-            parts = surrogate_loss_parts(z, y, 2, snet, weights)
-            root = getattr(parts, term)
+            parts = surrogate_loss_parts([z], [y], [2], snet, weights)
+            root = ad.sum_all(getattr(parts, term))
             grads = dict(
                 zip(snet.params.names(), ad.backward(root, snet.params.nodes()))
             )
@@ -210,26 +210,28 @@ def test_criterion_3_gate_zeroes_recognizer_gradients():
             y = encode_one_hot(y_label, ALPHABET3, REC_TINY.capacity)
             e = edit_distance(decoded, y_label)
             parts = filtered_str_loss_parts(
-                forward(image, rnet), y, e, snet, lam, gate_mode
+                forward(image, rnet), [y], [e], snet, lam, gate_mode
             )
-            grads = ad.backward(parts.loss, rnet.params.nodes())
-            return parts, dict(zip(rnet.params.names(), grads))
+            grads = ad.backward(ad.sum_all(parts.loss), rnet.params.nodes())
+            (gate_open,) = parts.gate_open
+            return gate_open, dict(zip(rnet.params.names(), grads))
 
         # A far-off target puts the pair well outside any narrow band.
         far = "bbbb" if not decoded.startswith("b") else "aaaa"
         y = encode_one_hot(far, ALPHABET3, REC_TINY.capacity)
         e = edit_distance(decoded, far)
-        gap = abs(surrogate_distance(CharGrid(z_node.values), y, snet).item() - e)
+        e_hat = distance_row([CharGrid(z_node.values)], embed([y], snet), snet)
+        gap = abs(e_hat.values.item() - e)
         assert gap >= 0.25
         for gate_mode in ("gated", "literal"):
-            parts, grads = theta_grads(far, 0.25, gate_mode)
-            assert not parts.gate_open
+            gate_open, grads = theta_grads(far, 0.25, gate_mode)
+            assert not gate_open
             assert all(np.all(g.values == 0.0) for g in grads.values()), gate_mode
 
         # Widening the band past the measured gap opens the gate.
         for gate_mode in ("gated", "literal"):
-            parts, grads = theta_grads(far, gap + 0.1, gate_mode)
-            assert parts.gate_open
+            gate_open, grads = theta_grads(far, gap + 0.1, gate_mode)
+            assert gate_open
             assert any(np.any(g.values != 0.0) for g in grads.values()), gate_mode
 
 
@@ -244,10 +246,10 @@ def _held_out_fit(images, recognizer, surrogate, dcfg) -> float:
             targets[image.label] = encode_one_hot(
                 image.label, dcfg.alphabet, dcfg.capacity
             )
-        z = recognize(image, recognizer)
+        (z,) = recognize([image], recognizer)
         e = edit_distance(decode_greedy(z, dcfg.alphabet), image.label)
-        e_hat = surrogate_distance(z, targets[image.label], surrogate).item()
-        gaps.append(abs(e_hat - e))
+        e_hat = distance_row([z], embed([targets[image.label]], surrogate), surrogate)
+        gaps.append(abs(e_hat.values.item() - e))
     return float(np.mean(gaps))
 
 

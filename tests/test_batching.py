@@ -1,4 +1,4 @@
-"""One B-wide graph against a loop of B single-sample graphs through the same
+"""One B-wide graph against a loop of B batches of one through the same
 functions: values, per-sample losses and parameter gradients of the batch
 mean agree to 1e-10, and gates agree exactly. Covers the loss of each phase
 (cross entropy, the surrogate fit with its gradient penalty, the filtered
@@ -17,8 +17,8 @@ from edsurrogate.surrogate import (
     SurrogateConfig,
     SurrogateLossWeights,
     SurrogateNet,
+    distance_row,
     embed,
-    surrogate_distance,
     surrogate_loss_parts,
 )
 from edsurrogate.synth_data import DatasetConfig, random_pair_generator, sample_corpus
@@ -47,8 +47,9 @@ def batch_mean_grads(row, params):
     return [g.values for g in ad.backward(root, params.nodes())]
 
 
-def loop_mean_grads(scalars, params, batch_size):
-    per_sample = [[g.values for g in ad.backward(s, params.nodes())] for s in scalars]
+def loop_mean_grads(rows, params, batch_size):
+    """Mean over (1, 1) rows of their parameter gradients, one backward each."""
+    per_sample = [[g.values for g in ad.backward(ad.sum_all(r), params.nodes())] for r in rows]
     return [sum(grads) / batch_size for grads in zip(*per_sample)]
 
 
@@ -80,9 +81,9 @@ def test_ce_loss_batch_equals_loop():
     net = RecognizerNet(RCFG)
     targets = targets_of(IMAGES)
     row = ce_loss(forward(IMAGES, net), targets)
-    singles = [ce_loss(forward(im, net), t) for im, t in zip(IMAGES, targets)]
+    singles = [ce_loss(forward(im, net), [t]) for im, t in zip(IMAGES, targets)]
     assert row.shape == (1, len(IMAGES))
-    assert_close(row.values[0], [s.item() for s in singles])
+    assert_close(row.values[0], [s.values.item() for s in singles])
     assert_grads_close(
         batch_mean_grads(row, net.params), loop_mean_grads(singles, net.params, len(IMAGES))
     )
@@ -103,7 +104,7 @@ def lsed_mix(rnet):
             y.append(pair.grid_b)
             e.append(pair.ed)
         else:
-            grid = recognize(image, rnet)
+            (grid,) = recognize([image], rnet)
             z.append(grid)
             y.append(encode_one_hot(image.label, DCFG.alphabet, DCFG.capacity))
             e.append(edit_distance(decode_greedy(grid, DCFG.alphabet), image.label))
@@ -116,9 +117,10 @@ def test_embed_batch_columns_equal_single_embeddings():
     grids = z + y
     batch = embed(grids, net)
     assert batch.shape == (SCFG.embedding_dim, len(grids))
-    assert_close(batch.values, np.stack([embed(g, net).values for g in grids], axis=1))
-    distances = surrogate_distance(z, y, net)
-    assert_close(distances.values[0], [surrogate_distance(a, b, net).item() for a, b in zip(z, y)])
+    assert_close(batch.values, np.concatenate([embed([g], net).values for g in grids], axis=1))
+    distances = distance_row(z, embed(y, net), net)
+    singles = [distance_row([a], embed([b], net), net).values.item() for a, b in zip(z, y)]
+    assert_close(distances.values[0], singles)
 
 
 @pytest.mark.parametrize("w2", [0.0, 0.1])
@@ -127,12 +129,12 @@ def test_surrogate_loss_batch_equals_loop_on_lsed_mix(w2):
     z, y, e = lsed_mix(RecognizerNet(RCFG))
     weights = SurrogateLossWeights(w1=1.0, w2=w2)
     batch = surrogate_loss_parts(z, y, e, net, weights)
-    singles = [surrogate_loss_parts(a, b, d, net, weights) for a, b, d in zip(z, y, e)]
+    singles = [surrogate_loss_parts([a], [b], [d], net, weights) for a, b, d in zip(z, y, e)]
     terms = ("loss", "e_hat", "fit") + (("penalty",) if w2 > 0 else ())
     for term in terms:
         row = getattr(batch, term)
         assert row.shape == (1, len(IMAGES)), term
-        assert_close(row.values[0], [getattr(s, term).item() for s in singles])
+        assert_close(row.values[0], [getattr(s, term).values.item() for s in singles])
     assert (batch.penalty is None) == (w2 == 0)
     assert_grads_close(
         batch_mean_grads(batch.loss, net.params),
@@ -178,17 +180,23 @@ def test_tuning_loss_batch_equals_loop(gate_mode, band):
     )
     singles = [
         filtered_str_loss_parts(
-            forward(im, rnet), t, d, snet, lam, gate_mode, y_embedding=embed(t, snet).detach()
+            forward(im, rnet),
+            [t],
+            [d],
+            snet,
+            lam,
+            gate_mode,
+            y_embedding=embed([t], snet).detach(),
         )
         for im, t, d in zip(IMAGES, y, e)
     ]
-    assert batch.gate_open == tuple(s.gate_open for s in singles)
+    assert batch.gate_open == sum((s.gate_open for s in singles), ())
     if band == "mixed":
         assert set(batch.gate_open) == {True, False}
     else:
         assert all(batch.gate_open)
-    assert_close(batch.e_hat.values[0], [s.e_hat.item() for s in singles])
-    assert_close(batch.loss.values[0], [s.loss.item() for s in singles])
+    assert_close(batch.e_hat.values[0], [s.e_hat.values.item() for s in singles])
+    assert_close(batch.loss.values[0], [s.loss.values.item() for s in singles])
     assert_grads_close(
         batch_mean_grads(batch.loss, rnet.params),
         loop_mean_grads([s.loss for s in singles], rnet.params, len(IMAGES)),
@@ -212,7 +220,7 @@ def test_mixed_batch_gradient_is_that_of_its_open_samples(gate_mode):
     lam = mixed_band(approximation_errors(rnet, snet, y, e))
     parts = filtered_str_loss_parts(forward(IMAGES, rnet), y, e, snet, lam, gate_mode)
     open_losses = [
-        filtered_str_loss_parts(forward(im, rnet), t, d, snet, lam, gate_mode).loss
+        filtered_str_loss_parts(forward(im, rnet), [t], [d], snet, lam, gate_mode).loss
         for im, t, d, gate in zip(IMAGES, y, e, parts.gate_open)
         if gate
     ]
@@ -231,7 +239,7 @@ def test_chunked_evaluation_predicts_as_per_image_recognize():
     assert len(images) % EVAL_CHUNK != 0
     net = RecognizerNet(RCFG)
     report = evaluate_model(net, images, DCFG.alphabet)
-    expected = [decode_greedy(recognize(image, net), DCFG.alphabet) for image in images]
+    expected = [decode_greedy(recognize([image], net)[0], DCFG.alphabet) for image in images]
     assert [pred for _, pred, _ in report.rows] == expected
 
 

@@ -14,9 +14,10 @@ from edsurrogate.recognizer import (
 from edsurrogate.surrogate import (
     SurrogateConfig,
     SurrogateNet,
+    distance_row,
+    embed,
     load_surrogate,
     save_surrogate,
-    surrogate_distance,
 )
 from edsurrogate.text_metrics import CharGrid
 
@@ -38,8 +39,8 @@ def test_surrogate_round_trip_preserves_behavior(tmp_path):
     grid = CharGrid(p / p.sum(axis=0))
     q = rng.random((3, 4))
     other = CharGrid(q / q.sum(axis=0))
-    before = surrogate_distance(grid, other, net).item()
-    after = surrogate_distance(grid, other, loaded).item()
+    before = distance_row([grid], embed([other], net), net).values.item()
+    after = distance_row([grid], embed([other], loaded), loaded).values.item()
     assert before == after
 
 
@@ -56,7 +57,9 @@ def test_recognizer_round_trip_preserves_behavior(tmp_path):
         alphabet_size=3, capacity=4, image_height=5, image_width=12, channels=(6, 7)
     )
     image = WordImage(np.random.default_rng(1).random((5, 12)), "ab")
-    assert recognize(image, net).values.tobytes() == recognize(image, loaded).values.tobytes()
+    assert recognize([image], net)[0].values.tobytes() == (
+        recognize([image], loaded)[0].values.tobytes()
+    )
 
 
 def test_cross_family_load_fails(tmp_path):
@@ -78,7 +81,9 @@ def test_recognizer_with_non_default_slope_and_seed_reloads_bit_identical(tmp_pa
     assert loaded.config == config
     # Negative conv features pass through the slope, so it shapes the output.
     image = WordImage(np.random.default_rng(2).random((5, 12)), "ab")
-    assert recognize(image, net).values.tobytes() == recognize(image, loaded).values.tobytes()
+    assert recognize([image], net)[0].values.tobytes() == (
+        recognize([image], loaded)[0].values.tobytes()
+    )
 
 
 def test_surrogate_with_non_default_slope_and_seed_reloads_bit_identical(tmp_path):
@@ -99,7 +104,8 @@ def test_surrogate_with_non_default_slope_and_seed_reloads_bit_identical(tmp_pat
     rng = np.random.default_rng(3)
     p, q = rng.random((3, 4)), rng.random((3, 4))
     a, b = CharGrid(p / p.sum(axis=0)), CharGrid(q / q.sum(axis=0))
-    assert surrogate_distance(a, b, net).item() == surrogate_distance(a, b, loaded).item()
+    before = distance_row([a], embed([b], net), net).values.item()
+    assert before == distance_row([a], embed([b], loaded), loaded).values.item()
 
 
 def test_checkpoint_without_slope_and_seed_loads_with_defaults(tmp_path):
@@ -123,3 +129,16 @@ def test_checkpoint_with_malformed_seed_is_rejected(tmp_path):
     save_checkpoint(path, header, arrays)
     with pytest.raises(CheckpointError):
         load_recognizer(path)
+
+
+def test_surrogate_with_malformed_conv_weight_is_rejected(tmp_path):
+    config = SurrogateConfig(
+        alphabet_size=3, capacity=4, embedding_dim=8, channels=(4, 4, 4, 4, 4), hidden=6
+    )
+    path = tmp_path / "bad.bin"
+    save_surrogate(path, SurrogateNet(config))
+    header, arrays = load_checkpoint(path)
+    arrays["conv0.weight"] = np.ones(4)
+    save_checkpoint(path, header, arrays)
+    with pytest.raises(CheckpointError):
+        load_surrogate(path)

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from edsurrogate.cli import main
@@ -11,6 +12,8 @@ from edsurrogate.evaluation import (
     read_scatter_csv,
     write_log_csv,
 )
+from edsurrogate.params import load_checkpoint, save_checkpoint
+from edsurrogate.recognizer import RecognizerConfig, RecognizerNet, save_recognizer
 from edsurrogate.synth_data import DatasetConfig, load_dataset
 
 TINY = {
@@ -243,6 +246,9 @@ def test_divergence_is_one_error_line_naming_the_step(tmp_path, capsys):
         ("dataset", "colour", "gen-data"),
         ("recognizer", "chanels", "train-baseline"),
         ("surrogate", "hiden", "tune"),
+        # sections that the command itself does not read
+        ("train", "optimiser", "gen-data"),
+        ("recognizer", "chanels", "evaluate"),
     ],
 )
 def test_unknown_config_key_is_one_error_line(tmp_path, capsys, section, key, command):
@@ -250,7 +256,8 @@ def test_unknown_config_key_is_one_error_line(tmp_path, capsys, section, key, co
     config.setdefault(section, {})[key] = 1
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
-    code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    extra = ["--checkpoint", str(tmp_path / "absent.bin")] if command == "evaluate" else []
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "out"), *extra])
     assert code == 2
     err = capsys.readouterr().err
     assert err == f"error: unknown {section} key {key!r}\n"
@@ -269,3 +276,23 @@ def test_scatter_on_header_only_log_says_it_has_no_records(tmp_path, capsys):
     code = main(["scatter", "--out", str(tmp_path / "s"), "--log", str(log)])
     assert code == 2
     assert capsys.readouterr().err == f"error: {log} holds no log records\n"
+
+
+@pytest.mark.parametrize(
+    "name,shape",
+    [("meta.image_shape", (1,)), ("conv0.weight", (4,))],
+)
+def test_malformed_checkpoint_is_one_error_line(tmp_path, capsys, name, shape):
+    net = RecognizerNet(
+        RecognizerConfig(alphabet_size=9, capacity=8, image_height=12, image_width=32)
+    )
+    path = tmp_path / "bad.bin"
+    save_recognizer(path, net)
+    header, arrays = load_checkpoint(path)
+    arrays[name] = np.ones(shape)
+    save_checkpoint(path, header, arrays)
+    code = main(["evaluate", "--checkpoint", str(path), "--out", str(tmp_path / "e")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: tensor {name!r} ")

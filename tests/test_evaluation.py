@@ -15,7 +15,12 @@ from edsurrogate.evaluation import (
     write_log_csv,
     write_metrics_csv,
 )
-from edsurrogate.recognizer import RecognizerConfig, RecognizerNet, save_recognizer
+from edsurrogate.recognizer import (
+    RecognizerConfig,
+    RecognizerNet,
+    load_recognizer,
+    save_recognizer,
+)
 from edsurrogate.synth_data import DatasetConfig, sample_corpus
 from edsurrogate.text_metrics import Alphabet, MetricsReport
 from edsurrogate.training import PhaseLogRecord
@@ -57,13 +62,13 @@ def test_evaluate_model_on_perfect_predictions():
     assert report.ted == sum(ed for _, _, ed in report.rows)
 
 
-def test_evaluate_model_accepts_checkpoint_path(tmp_path):
+def test_evaluate_model_scores_a_reloaded_checkpoint_alike(tmp_path):
     net = RecognizerNet(RCFG)
     path = tmp_path / "model.bin"
     save_recognizer(path, net)
     images = sample_corpus(DCFG)
     from_net = evaluate_model(net, images, DCFG.alphabet)
-    from_path = evaluate_model(path, images, DCFG.alphabet)
+    from_path = evaluate_model(load_recognizer(path), images, DCFG.alphabet)
     assert from_net == from_path
 
 

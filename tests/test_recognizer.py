@@ -39,7 +39,7 @@ def test_config_validation():
 
 
 def test_output_columns_are_stochastic():
-    grid = recognize(random_image(), RecognizerNet(TINY))
+    (grid,) = recognize([random_image()], RecognizerNet(TINY))
     assert grid.values.shape == (3, 4)
     assert np.allclose(grid.values.sum(axis=0), 1.0, atol=1e-6)
     assert grid.values.min() >= 0.0
@@ -47,14 +47,14 @@ def test_output_columns_are_stochastic():
 
 def test_identical_images_identical_grids():
     net = RecognizerNet(TINY)
-    a = recognize(random_image(7), net)
-    b = recognize(random_image(7), net)
+    (a,) = recognize([random_image(7)], net)
+    (b,) = recognize([random_image(7)], net)
     assert a.values.tobytes() == b.values.tobytes()
 
 
 def test_untrained_outputs_near_uniform():
     net = RecognizerNet(TINY)
-    grid = recognize(random_image(1), net)
+    (grid,) = recognize([random_image(1)], net)
     entropy = -np.sum(grid.values * np.log(grid.values), axis=0)
     assert np.all(entropy >= 0.9 * np.log(TINY.alphabet_size))
 
@@ -68,21 +68,22 @@ def test_image_shape_mismatch_rejected():
 
 def test_ce_loss_zero_iff_exact():
     y = encode_one_hot("ab", ALPHABET, 4)
-    assert ce_loss(y, y).item() == pytest.approx(0.0, abs=1e-12)
+    assert ce_loss(ad.constant(y.values), [y]).values.item() == pytest.approx(0.0, abs=1e-12)
     almost = y.values * 0.9 + 0.1 / 3.0
-    assert ce_loss(CharGrid(almost), y).item() > 0.0
+    assert ce_loss(ad.constant(almost), [y]).values.item() > 0.0
 
 
 def test_ce_loss_uniform_closed_form():
     y = encode_one_hot("ba", ALPHABET, 4)
     uniform = CharGrid(np.full((3, 4), 1.0 / 3.0))
-    assert ce_loss(uniform, y).item() == pytest.approx(np.log(3.0) / 3.0, rel=1e-12)
+    loss = ce_loss(ad.constant(uniform.values), [y]).values.item()
+    assert loss == pytest.approx(np.log(3.0) / 3.0, rel=1e-12)
 
 
 def test_ce_loss_requires_one_hot_target():
     uniform = CharGrid(np.full((3, 4), 1.0 / 3.0))
     with pytest.raises(ValueError):
-        ce_loss(uniform, uniform)
+        ce_loss(ad.constant(uniform.values), [uniform])
 
 
 def test_ce_gradient_wrt_weights_matches_fd():
@@ -90,7 +91,7 @@ def test_ce_gradient_wrt_weights_matches_fd():
     image = random_image(5)
     target = encode_one_hot("ab", ALPHABET, 4)
 
-    root = ce_loss(forward(image, net), target)
+    root = ad.sum_all(ce_loss(forward(image, net), [target]))
     grads = dict(zip(net.params.names(), ad.backward(root, net.params.nodes())))
 
     arrays = net.params.to_arrays()
@@ -106,7 +107,7 @@ def test_ce_gradient_wrt_weights_matches_fd():
             bumped[name].flat[flat] += delta
             other = RecognizerNet(TINY)
             other.params.load_arrays(bumped)
-            return ce_loss(forward(image, other), target).item()
+            return ad.sum_all(ce_loss(forward(image, other), [target])).item()
 
         numeric = (value_at(step) - value_at(-step)) / (2 * step)
         analytic = grads[name].values.flat[flat]
@@ -115,6 +116,6 @@ def test_ce_gradient_wrt_weights_matches_fd():
 
 def test_recognize_decodes_to_some_word():
     net = RecognizerNet(TINY)
-    word = decode_greedy(recognize(random_image(2), net), ALPHABET)
+    word = decode_greedy(recognize([random_image(2)], net)[0], ALPHABET)
     assert isinstance(word, str)
     assert len(word) <= 4

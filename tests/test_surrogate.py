@@ -9,8 +9,8 @@ from edsurrogate.surrogate import (
     SurrogateConfig,
     SurrogateLossWeights,
     SurrogateNet,
+    distance_row,
     embed,
-    surrogate_distance,
     surrogate_loss_parts,
 )
 from edsurrogate.text_metrics import Alphabet, CharGrid, encode_one_hot
@@ -35,6 +35,11 @@ def random_grid(rng, alphabet_size=3, capacity=4) -> CharGrid:
     return CharGrid(p / p.sum(axis=0))
 
 
+def distance(a: CharGrid, b: CharGrid, net: SurrogateNet) -> float:
+    """The surrogate distance of one pair, as a batch of one."""
+    return distance_row([a], embed([b], net), net).values.item()
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         SurrogateConfig(alphabet_size=3, capacity=4, channels=(4, 4, 4))
@@ -49,9 +54,9 @@ def test_config_validation():
 def test_embedding_shape_and_determinism():
     net = SurrogateNet(TINY)
     grid = random_grid(np.random.default_rng(0))
-    first = embed(grid, net)
-    second = embed(grid, net)
-    assert first.shape == (TINY.embedding_dim,)
+    first = embed([grid], net)
+    second = embed([grid], net)
+    assert first.shape == (TINY.embedding_dim, 1)
     assert first.values.tobytes() == second.values.tobytes()
 
 
@@ -64,7 +69,7 @@ def test_same_seed_same_weights():
 def test_embed_rejects_wrong_shape():
     net = SurrogateNet(TINY)
     with pytest.raises(ConfigError):
-        embed(CharGrid(np.full((3, 5), 1.0 / 3.0)), net)
+        embed([CharGrid(np.full((3, 5), 1.0 / 3.0))], net)
 
 
 def test_embed_gradient_wrt_grid_matches_fd():
@@ -82,7 +87,7 @@ def test_embed_gradient_wrt_grid_matches_fd():
 def test_self_distance_is_negligible():
     net = SurrogateNet(TINY)
     grid = random_grid(np.random.default_rng(2))
-    assert surrogate_distance(grid, grid, net).item() <= 1e-6
+    assert distance(grid, grid, net) <= 1e-6
 
 
 @settings(max_examples=20, deadline=None)
@@ -91,8 +96,8 @@ def test_distance_symmetric_and_nonnegative(seed):
     net = SurrogateNet(TINY)
     rng = np.random.default_rng(seed)
     a, b = random_grid(rng), random_grid(rng)
-    d_ab = surrogate_distance(a, b, net).item()
-    d_ba = surrogate_distance(b, a, net).item()
+    d_ab = distance(a, b, net)
+    d_ba = distance(b, a, net)
     assert d_ab >= 0.0
     assert d_ab == pytest.approx(d_ba, abs=1e-12)
 
@@ -101,35 +106,35 @@ def test_loss_is_weighted_sum_of_its_parts():
     net = SurrogateNet(TINY)
     rng = np.random.default_rng(3)
     weights = SurrogateLossWeights(w1=1.0, w2=0.1)
-    parts = surrogate_loss_parts(random_grid(rng), random_grid(rng), 2, net, weights)
+    parts = surrogate_loss_parts([random_grid(rng)], [random_grid(rng)], [2], net, weights)
     assert parts.penalty is not None
-    expected = 1.0 * parts.fit.item() + 0.1 * parts.penalty.item()
-    assert parts.loss.item() == pytest.approx(expected, rel=1e-12)
+    expected = 1.0 * parts.fit.values.item() + 0.1 * parts.penalty.values.item()
+    assert parts.loss.values.item() == pytest.approx(expected, rel=1e-12)
 
 
 def test_w2_zero_reduces_to_squared_error():
     net = SurrogateNet(TINY)
     rng = np.random.default_rng(4)
     z, y = random_grid(rng), random_grid(rng)
-    parts = surrogate_loss_parts(z, y, 1, net, SurrogateLossWeights(w1=1.0, w2=0.0))
-    e_hat = surrogate_distance(z, y, net).item()
+    parts = surrogate_loss_parts([z], [y], [1], net, SurrogateLossWeights(w1=1.0, w2=0.0))
+    e_hat = distance(z, y, net)
     assert parts.penalty is None
-    assert parts.loss.item() == pytest.approx((e_hat - 1.0) ** 2, rel=1e-12)
+    assert parts.loss.values.item() == pytest.approx((e_hat - 1.0) ** 2, rel=1e-12)
 
 
 def test_one_hot_grids_accepted():
     net = SurrogateNet(TINY)
     y = encode_one_hot("ab", ALPHABET, TINY.capacity)
     z = encode_one_hot("ba", ALPHABET, TINY.capacity)
-    loss = surrogate_loss_parts(z, y, 2, net, SurrogateLossWeights()).loss
-    assert np.isfinite(loss.item())
+    loss = surrogate_loss_parts([z], [y], [2], net, SurrogateLossWeights()).loss
+    assert np.isfinite(loss.values.item())
 
 
 def _loss_with_arrays(arrays, z, y, e, weights, term):
     net = SurrogateNet(TINY)
     net.params.load_arrays(arrays)
-    parts = surrogate_loss_parts(z, y, e, net, weights)
-    return {"loss": parts.loss, "fit": parts.fit, "penalty": parts.penalty}[term]
+    parts = surrogate_loss_parts([z], [y], [e], net, weights)
+    return ad.sum_all({"loss": parts.loss, "fit": parts.fit, "penalty": parts.penalty}[term])
 
 
 @pytest.mark.parametrize(
@@ -147,8 +152,8 @@ def test_loss_gradient_wrt_weights_matches_fd(weights, term, rel):
     z, y = random_grid(rng), random_grid(rng)
     e = 2
 
-    parts = surrogate_loss_parts(z, y, e, net, weights)
-    root = {"loss": parts.loss, "fit": parts.fit, "penalty": parts.penalty}[term]
+    parts = surrogate_loss_parts([z], [y], [e], net, weights)
+    root = ad.sum_all({"loss": parts.loss, "fit": parts.fit, "penalty": parts.penalty}[term])
     leaves = net.params.nodes()
     grads = ad.backward(root, leaves, create_graph=False)
     by_name = dict(zip(net.params.names(), grads))

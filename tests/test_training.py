@@ -87,32 +87,37 @@ def test_default_lambda_in_stated_range():
 
 # --- filter -------------------------------------------------------------------
 
+def filtered(e: int, e_hat: float, lam: float) -> float:
+    """filter_value of one sample, as a batch of one."""
+    return filter_value([e], ad.constant([[e_hat]]), lam).values.item()
+
+
 def test_filter_value_examples():
-    assert filter_value(2, 2.1, 0.25) == pytest.approx(0.1)
-    assert filter_value(2, 3.0, 0.25) == pytest.approx(0.25)
-    assert filter_value(0, 0.0, 0.25) == 0.0
+    assert filtered(2, 2.1, 0.25) == pytest.approx(0.1)
+    assert filtered(2, 3.0, 0.25) == pytest.approx(0.25)
+    assert filtered(0, 0.0, 0.25) == 0.0
     with pytest.raises(ConfigError):
-        filter_value(1, 1.0, 0.0)
+        filtered(1, 1.0, 0.0)
 
 
 def test_filter_value_clipped_branch_has_zero_gradient():
-    e_hat = ad.variable(3.0)
-    out = filter_value(2, e_hat, 0.25)
-    assert out.item() == pytest.approx(0.25)
-    (grad,) = ad.backward(out, [e_hat])
-    assert grad.item() == 0.0
+    e_hat = ad.variable([[3.0]])
+    out = filter_value([2], e_hat, 0.25)
+    assert out.values.item() == pytest.approx(0.25)
+    (grad,) = ad.backward(ad.sum_all(out), [e_hat])
+    assert grad.values.item() == 0.0
 
-    inside = ad.variable(2.1)
-    (grad_in,) = ad.backward(filter_value(2, inside, 0.25), [inside])
-    assert grad_in.item() == pytest.approx(1.0)
+    inside = ad.variable([[2.1]])
+    (grad_in,) = ad.backward(ad.sum_all(filter_value([2], inside, 0.25)), [inside])
+    assert grad_in.values.item() == pytest.approx(1.0)
 
 
 def test_filter_boundary_counts_as_closed():
-    e_hat = ad.variable(2.25)
-    out = filter_value(2, e_hat, 0.25)
-    assert out.item() == pytest.approx(0.25)
-    (grad,) = ad.backward(out, [e_hat])
-    assert grad.item() == 0.0
+    e_hat = ad.variable([[2.25]])
+    out = filter_value([2], e_hat, 0.25)
+    assert out.values.item() == pytest.approx(0.25)
+    (grad,) = ad.backward(ad.sum_all(out), [e_hat])
+    assert grad.values.item() == 0.0
 
 
 # --- gate zeroing ----------------------------------------------------------------
@@ -130,56 +135,56 @@ def _tuning_sample():
 @pytest.mark.parametrize("gate_mode", ["gated", "literal"])
 def test_closed_gate_gives_exactly_zero_theta_gradient(gate_mode):
     recognizer, surrogate, z_node, y_grid, e = _tuning_sample()
-    probe = filtered_str_loss_parts(z_node, y_grid, e, surrogate, lam=1e9)
-    abs_err = abs(probe.e_hat.item() - e)
+    probe = filtered_str_loss_parts(z_node, [y_grid], [e], surrogate, lam=1e9)
+    abs_err = abs(probe.e_hat.values.item() - e)
     assert abs_err > 0
     for lam in (abs_err / 2, abs_err):  # interior and exact boundary
-        parts = filtered_str_loss_parts(z_node, y_grid, e, surrogate, lam, gate_mode)
-        assert not parts.gate_open
-        grads = ad.backward(parts.loss, recognizer.params.nodes())
+        parts = filtered_str_loss_parts(z_node, [y_grid], [e], surrogate, lam, gate_mode)
+        assert parts.gate_open == (False,)
+        grads = ad.backward(ad.sum_all(parts.loss), recognizer.params.nodes())
         assert all(np.all(g.values == 0.0) for g in grads)
 
 
 @pytest.mark.parametrize("gate_mode", ["gated", "literal"])
 def test_open_gate_gives_nonzero_theta_gradient(gate_mode):
     recognizer, surrogate, z_node, y_grid, e = _tuning_sample()
-    probe = filtered_str_loss_parts(z_node, y_grid, e, surrogate, lam=1e9)
-    lam = abs(probe.e_hat.item() - e) + 1.0
-    parts = filtered_str_loss_parts(z_node, y_grid, e, surrogate, lam, gate_mode)
-    assert parts.gate_open
-    grads = ad.backward(parts.loss, recognizer.params.nodes())
+    probe = filtered_str_loss_parts(z_node, [y_grid], [e], surrogate, lam=1e9)
+    lam = abs(probe.e_hat.values.item() - e) + 1.0
+    parts = filtered_str_loss_parts(z_node, [y_grid], [e], surrogate, lam, gate_mode)
+    assert parts.gate_open == (True,)
+    grads = ad.backward(ad.sum_all(parts.loss), recognizer.params.nodes())
     assert any(np.any(g.values != 0.0) for g in grads)
 
 
 def test_open_gate_gated_loss_gradient_equals_distance_gradient():
     recognizer, surrogate, z_node, y_grid, e = _tuning_sample()
-    probe = filtered_str_loss_parts(z_node, y_grid, e, surrogate, lam=1e9)
-    lam = abs(probe.e_hat.item() - e) + 1.0
-    parts = filtered_str_loss_parts(z_node, y_grid, e, surrogate, lam, "gated")
-    loss_grads = ad.backward(parts.loss, recognizer.params.nodes())
-    ehat_grads = ad.backward(parts.e_hat, recognizer.params.nodes())
+    probe = filtered_str_loss_parts(z_node, [y_grid], [e], surrogate, lam=1e9)
+    lam = abs(probe.e_hat.values.item() - e) + 1.0
+    parts = filtered_str_loss_parts(z_node, [y_grid], [e], surrogate, lam, "gated")
+    loss_grads = ad.backward(ad.sum_all(parts.loss), recognizer.params.nodes())
+    ehat_grads = ad.backward(ad.sum_all(parts.e_hat), recognizer.params.nodes())
     for a, b in zip(loss_grads, ehat_grads):
         assert np.allclose(a.values, b.values)
 
 
 def test_open_gate_literal_gradient_is_signed_distance_gradient():
     recognizer, surrogate, z_node, y_grid, e = _tuning_sample()
-    probe = filtered_str_loss_parts(z_node, y_grid, e, surrogate, lam=1e9)
-    e_hat = probe.e_hat.item()
+    probe = filtered_str_loss_parts(z_node, [y_grid], [e], surrogate, lam=1e9)
+    e_hat = probe.e_hat.values.item()
     sign = 1.0 if e_hat > e else -1.0
     lam = abs(e_hat - e) + 1.0
-    parts = filtered_str_loss_parts(z_node, y_grid, e, surrogate, lam, "literal")
-    loss_grads = ad.backward(parts.loss, recognizer.params.nodes())
-    ehat_grads = ad.backward(parts.e_hat, recognizer.params.nodes())
+    parts = filtered_str_loss_parts(z_node, [y_grid], [e], surrogate, lam, "literal")
+    loss_grads = ad.backward(ad.sum_all(parts.loss), recognizer.params.nodes())
+    ehat_grads = ad.backward(ad.sum_all(parts.e_hat), recognizer.params.nodes())
     for a, b in zip(loss_grads, ehat_grads):
         assert np.allclose(a.values, sign * b.values)
 
 
 def test_huge_lambda_opens_every_gate():
     recognizer, surrogate, z_node, y_grid, e = _tuning_sample()
-    parts = filtered_str_loss_parts(z_node, y_grid, e, surrogate, lam=1e9)
-    assert parts.gate_open
-    assert parts.loss.item() == pytest.approx(parts.e_hat.item())
+    parts = filtered_str_loss_parts(z_node, [y_grid], [e], surrogate, lam=1e9)
+    assert parts.gate_open == (True,)
+    assert parts.loss.values.item() == pytest.approx(parts.e_hat.values.item())
 
 
 # --- optimizer -------------------------------------------------------------------
