@@ -18,20 +18,21 @@ EPS_NORM = 1e-12
 
 
 class DiffNode:
-    """One node of the graph: a frozen value plus how it was produced."""
+    """One node of the graph: a frozen value plus how it was produced, its
+    VJP builder (None for a leaf) with the parents and meta it reads."""
 
-    __slots__ = ("values", "op", "parents", "requires_grad", "meta")
+    __slots__ = ("values", "vjp", "parents", "requires_grad", "meta")
 
-    def __init__(self, values, op="leaf", parents=(), requires_grad=False, meta=None):
+    def __init__(self, values, vjp=None, parents=(), requires_grad=False, meta=None):
         if not isinstance(values, np.ndarray) or values.dtype != np.float64:
             values = np.asarray(values, dtype=np.float64)
         # Sum-based fast path; the exact check runs only when the sum is
         # non-finite, which also clears a sum that merely overflowed.
         if not math.isfinite(values.sum()) and not np.isfinite(values).all():
-            raise NumericError(f"non-finite values produced by op {op!r}")
+            raise NumericError(f"non-finite values produced by op {_op_name(vjp)!r}")
         values.setflags(write=False)
         self.values = values
-        self.op = op
+        self.vjp = vjp
         self.parents = parents
         self.meta = meta
         if requires_grad:
@@ -51,10 +52,17 @@ class DiffNode:
         return float(self.values)
 
     def detach(self) -> "DiffNode":
-        return DiffNode(self.values, op="leaf")
+        return DiffNode(self.values)
 
     def __repr__(self):
-        return f"DiffNode(op={self.op!r}, shape={self.shape}, grad={self.requires_grad})"
+        return (
+            f"DiffNode(op={_op_name(self.vjp)!r}, shape={self.shape}, grad={self.requires_grad})"
+        )
+
+
+def _op_name(vjp) -> str:
+    """The primitive a node came from, named after its VJP builder."""
+    return "leaf" if vjp is None else vjp.__name__.removeprefix("_vjp_")
 
 
 def constant(values) -> DiffNode:
@@ -65,10 +73,6 @@ def constant(values) -> DiffNode:
 def variable(values) -> DiffNode:
     """Leaf marked as a differentiation variable; input array is copied."""
     return DiffNode(np.array(values, dtype=np.float64), requires_grad=True)
-
-
-def _as_node(x) -> DiffNode:
-    return x if isinstance(x, DiffNode) else constant(x)
 
 
 def _require_same_shape(a, b, op):
@@ -82,84 +86,80 @@ def _require_2d(a, op):
 
 
 # ---------------------------------------------------------------------------
-# Primitive ops. Each forward computes the value and records enough in `meta`
-# for its VJP builder further below.
+# Primitive ops. Each forward computes the value, names its VJP builder
+# (further below) and records what that builder needs in `meta`.
 # ---------------------------------------------------------------------------
 
 def add(a, b):
-    a, b = _as_node(a), _as_node(b)
     _require_same_shape(a, b, "add")
-    return DiffNode(a.values + b.values, "add", (a, b))
+    return DiffNode(a.values + b.values, _vjp_add, (a, b))
 
 
 def sub(a, b):
-    a, b = _as_node(a), _as_node(b)
     _require_same_shape(a, b, "sub")
-    return DiffNode(a.values - b.values, "sub", (a, b))
+    return DiffNode(a.values - b.values, _vjp_sub, (a, b))
 
 
 def neg(a):
-    return DiffNode(-a.values, "neg", (a,))
+    return DiffNode(-a.values, _vjp_neg, (a,))
 
 
 def mul(a, b):
-    a, b = _as_node(a), _as_node(b)
     _require_same_shape(a, b, "mul")
-    return DiffNode(a.values * b.values, "mul", (a, b))
+    return DiffNode(a.values * b.values, _vjp_mul, (a, b))
 
 
 def div(a, b):
-    a, b = _as_node(a), _as_node(b)
     _require_same_shape(a, b, "div")
-    return DiffNode(a.values / b.values, "div", (a, b))
+    return DiffNode(a.values / b.values, _vjp_div, (a, b))
 
 
 def add_scalar(a, c):
-    return DiffNode(a.values + float(c), "add_scalar", (a,))
+    return DiffNode(a.values + float(c), _vjp_add_scalar, (a,))
 
 
 def mul_scalar(a, c):
-    return DiffNode(a.values * float(c), "mul_scalar", (a,), meta=float(c))
+    return DiffNode(a.values * float(c), _vjp_mul_scalar, (a,), meta=float(c))
 
 
 def square(a):
-    return DiffNode(np.square(a.values), "square", (a,))
+    return DiffNode(np.square(a.values), _vjp_square, (a,))
 
 
 def sqrt(a):
     if np.any(a.values < 0):
         raise NumericError("sqrt of negative value")
-    return DiffNode(np.sqrt(a.values), "sqrt", (a,))
+    return DiffNode(np.sqrt(a.values), _vjp_sqrt, (a,))
 
 
 def exp(a):
-    return DiffNode(np.exp(a.values), "exp", (a,))
+    return DiffNode(np.exp(a.values), _vjp_exp, (a,))
 
 
 def log(a):
     if np.any(a.values <= 0):
         raise NumericError("log of non-positive value")
-    return DiffNode(np.log(a.values), "log", (a,))
+    return DiffNode(np.log(a.values), _vjp_log, (a,))
 
 
 def leaky_relu(a, slope=0.01):
     values = np.where(a.values > 0, a.values, slope * a.values)
-    return DiffNode(values, "leaky_relu", (a,), meta=float(slope))
+    return DiffNode(values, _vjp_leaky_relu, (a,), meta=float(slope))
 
 
 def clamp_min(a, floor):
     """max(a, floor); zero sub-gradient on the clamped region."""
-    return DiffNode(np.maximum(a.values, float(floor)), "clamp_min", (a,), meta=float(floor))
+    return DiffNode(np.maximum(a.values, float(floor)), _vjp_clamp_min, (a,), meta=float(floor))
 
 
 def clip_max(a, ceiling):
     """min(a, ceiling); zero sub-gradient on the clipped region (incl. boundary)."""
-    return DiffNode(np.minimum(a.values, float(ceiling)), "clip_max", (a,), meta=float(ceiling))
+    return DiffNode(np.minimum(a.values, float(ceiling)), _vjp_clip_max, (a,), meta=float(ceiling))
 
 
 def abs_val(a):
     """|a| with sign sub-gradient (0 at the kink)."""
-    return DiffNode(np.abs(a.values), "abs_val", (a,))
+    return DiffNode(np.abs(a.values), _vjp_abs_val, (a,))
 
 
 def matmul(a, b):
@@ -167,27 +167,27 @@ def matmul(a, b):
     _require_2d(b, "matmul")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dims {a.shape} @ {b.shape}")
-    return DiffNode(a.values @ b.values, "matmul", (a, b))
+    return DiffNode(a.values @ b.values, _vjp_matmul, (a, b))
 
 
 def transpose(a):
     _require_2d(a, "transpose")
-    return DiffNode(a.values.T, "transpose", (a,))
+    return DiffNode(a.values.T, _vjp_transpose, (a,))
 
 
 def reshape(a, shape):
     shape = tuple(shape)
-    return DiffNode(a.values.reshape(shape), "reshape", (a,), meta=a.shape)
+    return DiffNode(a.values.reshape(shape), _vjp_reshape, (a,), meta=a.shape)
 
 
 def sum_all(a):
-    return DiffNode(np.sum(a.values), "sum_all", (a,), meta=a.shape)
+    return DiffNode(np.sum(a.values), _vjp_sum_all, (a,), meta=a.shape)
 
 
 def broadcast_to(a, shape):
     if a.shape != ():
         raise ShapeError("broadcast_to expects a scalar node")
-    return DiffNode(np.full(shape, float(a.values)), "broadcast_to", (a,))
+    return DiffNode(np.full(shape, float(a.values)), _vjp_broadcast_to, (a,))
 
 
 def sum_axis(a, axis):
@@ -195,7 +195,7 @@ def sum_axis(a, axis):
     _require_2d(a, "sum_axis")
     if axis not in (0, 1):
         raise ShapeError("sum_axis supports axis 0 or 1")
-    return DiffNode(a.values.sum(axis=axis, keepdims=True), "sum_axis", (a,), meta=axis)
+    return DiffNode(a.values.sum(axis=axis, keepdims=True), _vjp_sum_axis, (a,), meta=axis)
 
 
 def tile_axis(a, axis, reps):
@@ -204,7 +204,7 @@ def tile_axis(a, axis, reps):
     if axis not in (0, 1) or a.shape[axis] != 1:
         raise ShapeError(f"tile_axis: axis {axis} of {a.shape} must have size 1")
     shape = (reps, a.shape[1]) if axis == 0 else (a.shape[0], reps)
-    return DiffNode(np.broadcast_to(a.values, shape).copy(), "tile_axis", (a,), meta=axis)
+    return DiffNode(np.broadcast_to(a.values, shape).copy(), _vjp_tile_axis, (a,), meta=axis)
 
 
 def _segment_width(a, segments, op):
@@ -229,7 +229,7 @@ def unfold_segments(a, kernel, segments):
     padded[:, :, pad : pad + width] = a.values.reshape(c, segments, width)
     windows = np.lib.stride_tricks.sliding_window_view(padded, kernel, axis=2)
     values = np.ascontiguousarray(windows.transpose(0, 3, 1, 2)).reshape(c * kernel, -1)
-    return DiffNode(values, "unfold_segments", (a,), meta=(kernel, segments))
+    return DiffNode(values, _vjp_unfold_segments, (a,), meta=(kernel, segments))
 
 
 def fold_segments(a, kernel, segments):
@@ -243,7 +243,7 @@ def fold_segments(a, kernel, segments):
     for j in range(kernel):
         padded[:, :, j : j + width] += cube[:, j]
     values = padded[:, :, pad : pad + width].reshape(c, segments * width)
-    return DiffNode(values, "fold_segments", (a,), meta=(kernel, segments))
+    return DiffNode(values, _vjp_fold_segments, (a,), meta=(kernel, segments))
 
 
 # ---------------------------------------------------------------------------
@@ -366,34 +366,6 @@ def _vjp_fold_segments(node, g, needed):
     return (unfold_segments(g, *node.meta),)
 
 
-_VJPS = {
-    "add": _vjp_add,
-    "sub": _vjp_sub,
-    "neg": _vjp_neg,
-    "mul": _vjp_mul,
-    "div": _vjp_div,
-    "add_scalar": _vjp_add_scalar,
-    "mul_scalar": _vjp_mul_scalar,
-    "square": _vjp_square,
-    "sqrt": _vjp_sqrt,
-    "exp": _vjp_exp,
-    "log": _vjp_log,
-    "leaky_relu": _vjp_leaky_relu,
-    "clamp_min": _vjp_clamp_min,
-    "clip_max": _vjp_clip_max,
-    "abs_val": _vjp_abs_val,
-    "matmul": _vjp_matmul,
-    "transpose": _vjp_transpose,
-    "reshape": _vjp_reshape,
-    "sum_all": _vjp_sum_all,
-    "broadcast_to": _vjp_broadcast_to,
-    "sum_axis": _vjp_sum_axis,
-    "tile_axis": _vjp_tile_axis,
-    "unfold_segments": _vjp_unfold_segments,
-    "fold_segments": _vjp_fold_segments,
-}
-
-
 # ---------------------------------------------------------------------------
 # Composite ops used by both networks.
 # ---------------------------------------------------------------------------
@@ -412,17 +384,12 @@ def softmax_columns(a):
     return div(e, totals)
 
 
-def linear(weight, x, bias=None):
-    """weight @ x (+ bias); bias broadcasts over columns when needed."""
+def linear(weight, x, bias):
+    """weight @ x + bias, the (rows, 1) bias broadcast over the columns."""
     out = matmul(weight, x)
-    if bias is not None:
-        if bias.shape == out.shape:
-            out = add(out, bias)
-        elif bias.shape == (out.shape[0], 1):
-            out = add(out, tile_axis(bias, 1, out.shape[1]))
-        else:
-            raise ShapeError(f"linear: bias {bias.shape} vs output {out.shape}")
-    return out
+    if bias.shape != (out.shape[0], 1):
+        raise ShapeError(f"linear: bias {bias.shape} vs output {out.shape}")
+    return add(out, tile_axis(bias, 1, out.shape[1]))
 
 
 def conv1d(x, weight, bias=None, segments=1):
@@ -513,7 +480,7 @@ def backward(root, wrt, create_graph=False):
         if grad is None or nid not in active or not node.parents:
             continue
         needed = tuple(id(p) in active for p in node.parents)
-        contributions = _VJPS[node.op](node, grad, needed)
+        contributions = node.vjp(node, grad, needed)
         for parent, contribution in zip(node.parents, contributions):
             if contribution is None or id(parent) not in active:
                 continue

@@ -7,7 +7,6 @@ Floats are serialized with repr so every file round-trips losslessly.
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 
 from .blas import one_blas_thread
@@ -161,5 +160,5 @@ def in_band_fraction(
 ) -> float:
     """Fraction of recognizer-phase samples with |e_hat - e| < lam."""
     rows = scatter_rows(logs, first_epoch, last_epoch)
-    hits = sum(1 for r in rows if not math.isnan(r.e_hat) and abs(r.e_hat - r.e) < lam)
+    hits = sum(1 for r in rows if abs(r.e_hat - r.e) < lam)
     return hits / len(rows)

@@ -10,6 +10,8 @@ then per tensor: name length, UTF-8 name, ndim, dims, float64 LE values.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,6 +27,7 @@ FORMAT_VERSION = 1
 META_SLOPE = "meta.slope"
 META_SEED = "meta.seed"
 MAX_EXACT_SEED = 2**53  # largest seed a float64 tensor holds exactly
+MAX_NDIM = 32  # the most dims every supported numpy gives an array
 
 
 class ParamStore:
@@ -94,11 +97,15 @@ def _write_u32(fh, value: int) -> None:
     fh.write(struct.pack("<I", value))
 
 
-def _read_u32(fh) -> int:
-    raw = fh.read(4)
-    if len(raw) != 4:
+def _read(fh, size: int, end: int) -> bytes:
+    """The next size bytes of fh, a file of end bytes; checked before reading."""
+    if size > end - fh.tell():
         raise CheckpointError("truncated checkpoint")
-    return struct.unpack("<I", raw)[0]
+    return fh.read(size)
+
+
+def _read_u32(fh, end: int) -> int:
+    return struct.unpack("<I", _read(fh, 4, end))[0]
 
 
 def network_meta(slope: float, seed: int) -> dict[str, np.ndarray]:
@@ -131,65 +138,71 @@ def pop_network_meta(arrays: dict[str, np.ndarray]) -> dict:
 
 def tensor_shape(arrays: dict[str, np.ndarray], name: str, ndim: int, family: str) -> tuple:
     """The shape of tensor name in a family checkpoint, which must be
-    present with ndim dims."""
+    present with ndim dims, none of them empty."""
     if name not in arrays:
         raise CheckpointError(f"missing tensor {name!r} in {family} checkpoint")
     shape = arrays[name].shape
-    if len(shape) != ndim:
+    if len(shape) != ndim or 0 in shape:
         raise CheckpointError(f"tensor {name!r} in {family} checkpoint has shape {shape}")
     return shape
 
 
 def save_checkpoint(path, header: CheckpointHeader, arrays: dict[str, np.ndarray]) -> None:
+    """Write to a temporary file beside path, then rename it over path, so a
+    save that fails leaves any earlier file at path whole."""
     path = Path(path)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        _write_u32(fh, header.version)
-        _write_u32(fh, header.alphabet_size)
-        _write_u32(fh, header.capacity)
-        _write_u32(fh, header.embedding_dim)
-        for name, values in arrays.items():
-            encoded = name.encode("utf-8")
-            _write_u32(fh, len(encoded))
-            fh.write(encoded)
-            values = np.ascontiguousarray(values, dtype=np.float64)
-            _write_u32(fh, values.ndim)
-            for dim in values.shape:
-                _write_u32(fh, dim)
-            fh.write(values.astype("<f8").tobytes())
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(partial, "wb") as fh:
+            fh.write(MAGIC)
+            _write_u32(fh, header.version)
+            _write_u32(fh, header.alphabet_size)
+            _write_u32(fh, header.capacity)
+            _write_u32(fh, header.embedding_dim)
+            for name, values in arrays.items():
+                encoded = name.encode("utf-8")
+                _write_u32(fh, len(encoded))
+                fh.write(encoded)
+                values = np.ascontiguousarray(values, dtype=np.float64)
+                _write_u32(fh, values.ndim)
+                for dim in values.shape:
+                    _write_u32(fh, dim)
+                fh.write(values.astype("<f8").tobytes())
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> tuple[CheckpointHeader, dict[str, np.ndarray]]:
     path = Path(path)
     with open(path, "rb") as fh:
+        end = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
         if magic != MAGIC:
             raise CheckpointError(f"bad magic {magic!r}")
-        version = _read_u32(fh)
+        version = _read_u32(fh, end)
         if version != FORMAT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
         header = CheckpointHeader(
-            alphabet_size=_read_u32(fh),
-            capacity=_read_u32(fh),
-            embedding_dim=_read_u32(fh),
+            alphabet_size=_read_u32(fh, end),
+            capacity=_read_u32(fh, end),
+            embedding_dim=_read_u32(fh, end),
             version=version,
         )
         arrays: dict[str, np.ndarray] = {}
-        while True:
-            raw = fh.read(4)
-            if not raw:
-                break
-            if len(raw) != 4:
-                raise CheckpointError("truncated checkpoint")
-            name_len = struct.unpack("<I", raw)[0]
-            name = fh.read(name_len).decode("utf-8")
+        while fh.tell() < end:
+            raw_name = _read(fh, _read_u32(fh, end), end)
+            try:
+                name = raw_name.decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointError(f"tensor name {raw_name[:32]!r} is not UTF-8") from None
             if name in arrays:
                 raise CheckpointError(f"duplicate tensor name {name!r}")
-            ndim = _read_u32(fh)
-            shape = tuple(_read_u32(fh) for _ in range(ndim))
-            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            payload = fh.read(count * 8)
-            if len(payload) != count * 8:
-                raise CheckpointError("truncated checkpoint")
+            ndim = _read_u32(fh, end)
+            if ndim > MAX_NDIM:
+                raise CheckpointError(f"tensor {name!r} has {ndim} dims, more than {MAX_NDIM}")
+            shape = struct.unpack(f"<{ndim}I", _read(fh, 4 * ndim, end))
+            payload = _read(fh, 8 * math.prod(shape), end)  # exact ints, no overflow
             arrays[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
     return header, arrays

@@ -158,8 +158,13 @@ def load_recognizer(path) -> RecognizerNet:
     network = pop_network_meta(arrays)
     if tensor_shape(arrays, META_IMAGE_SHAPE, 1, "recognizer") != (2,):
         raise CheckpointError(f"tensor {META_IMAGE_SHAPE!r} must hold the image height and width")
-    height, width = arrays.pop(META_IMAGE_SHAPE)
-    kernel = tensor_shape(arrays, "conv0.weight", 3, "recognizer")[2]
+    height, width = arrays.pop(META_IMAGE_SHAPE).tolist()
+    _, conv_in, kernel = tensor_shape(arrays, "conv0.weight", 3, "recognizer")
+    # Checked before the net is built, which sizes its tensors from these.
+    if height != conv_in or not width.is_integer():
+        raise CheckpointError(f"image shape ({height!r}, {width!r}) does not fit conv0.weight")
+    if tensor_shape(arrays, "head.weight", 2, "recognizer")[0] != header.alphabet_size:
+        raise CheckpointError(f"header alphabet_size {header.alphabet_size} != head rows")
     channels = []
     while f"conv{len(channels)}.weight" in arrays:
         channels.append(tensor_shape(arrays, f"conv{len(channels)}.weight", 3, "recognizer")[0])

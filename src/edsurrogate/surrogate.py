@@ -153,7 +153,8 @@ def surrogate_loss_parts(
     z_hat, y_hat, e: Sequence[int], net: SurrogateNet, weights: SurrogateLossWeights
 ) -> SurrogateLossParts:
     """(1, B) rows of the loss w1*(e_hat - e)^2 + w2*(||d e_hat/d z||_2 - 1)^2
-    and its pieces, for B distances e and B grids in z_hat and in y_hat.
+    and its pieces, for B distances e and the sequences of B predicted grids
+    z_hat and B target grids y_hat.
 
     The penalty gradient is taken w.r.t. the predicted grids only, with
     create_graph set so the loss stays differentiable in the weights;
@@ -162,12 +163,7 @@ def surrogate_loss_parts(
     """
     if len(e) == 0 or min(e) < 0:
         raise ValueError("edit distances must be a non-empty sequence of non-negative ints")
-    if isinstance(z_hat, DiffNode):
-        z_node = z_hat
-    else:
-        z_node = ad.variable(_as_grid_node(z_hat, net.config).values)
-    if not z_node.requires_grad:
-        raise ShapeError("predicted grid must participate in differentiation")
+    z_node = ad.variable(_as_grid_node(z_hat, net.config).values)
     if z_node.shape[1] != len(e) * net.config.capacity:
         raise ShapeError(f"predicted grids {z_node.shape} do not hold {len(e)} samples")
     e_row = ad.constant(np.reshape(np.asarray(e, dtype=np.float64), (1, len(e))))
@@ -205,6 +201,8 @@ def load_surrogate(path) -> SurrogateNet:
         raise CheckpointError(
             f"header embedding_dim {header.embedding_dim} != fc2 rows {out_dim}"
         )
+    if convs[0][1] != header.alphabet_size:
+        raise CheckpointError(f"header alphabet_size {header.alphabet_size} != conv0 input")
     config = SurrogateConfig(
         alphabet_size=header.alphabet_size,
         capacity=header.capacity,

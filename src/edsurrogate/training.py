@@ -66,7 +66,6 @@ class TrainConfig:
     lam: float = 0.25
     batch_size: int = 32
     mode: str = "feds"
-    gate_mode: str = "gated"
     rho: float = 0.95
     eps: float = 1e-6
     pretrain_iterations: int = 2000
@@ -84,8 +83,6 @@ class TrainConfig:
             raise ConfigError("learning rates must be positive")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
-        if self.gate_mode not in GATE_MODES:
-            raise ConfigError(f"gate_mode must be one of {GATE_MODES}")
         if not 0 <= self.rho < 1 or self.eps <= 0:
             raise ConfigError("rho must lie in [0, 1) and eps must be positive")
 
@@ -158,30 +155,21 @@ class FilteredLossParts:
 
 
 def filtered_str_loss_parts(
-    z_hat,
-    y_hat,
-    e,
-    net: SurrogateNet,
-    lam: float,
-    gate_mode: str = "gated",
-    y_embedding: DiffNode | None = None,
+    z_hat, y_embedding: DiffNode, e, net: SurrogateNet, lam: float, gate_mode: str = "gated"
 ) -> FilteredLossParts:
-    """Tuning loss. Gated mode trains on e_hat itself with the gate
-    indicator held constant; literal mode differentiates min(|err|, lam) as
-    written. Both give exactly zero gradient once |e_hat - e| >= lam.
+    """Tuning loss. Gated mode, the one training uses, trains on e_hat itself
+    with the gate indicator held constant; literal mode differentiates
+    min(|err|, lam) as written. Both give exactly zero gradient once
+    |e_hat - e| >= lam.
 
-    B distances e, with B predicted grids side by side in z_hat and B target
-    grids in y_hat, give (1, B) rows of loss and e_hat and a tuple of B gates.
-
-    y_embedding, when given, must be the detached (E, B) embedding of y_hat
-    under the same frozen net; it skips recomputing the target branch.
+    B distances e, with B predicted grids side by side in z_hat and the
+    (E, B) embedding of the B target grids under net, give (1, B) rows of
+    loss and e_hat and a tuple of B gates.
     """
     if not lam > 0:
         raise ConfigError("lambda must be > 0")
     if gate_mode not in GATE_MODES:
         raise ConfigError(f"gate_mode must be one of {GATE_MODES}")
-    if y_embedding is None:
-        y_embedding = embed(y_hat, net)
     e_hat = distance_row(z_hat, y_embedding, net)
     e_values = np.asarray(e, dtype=np.float64).reshape(1, -1)
     if e_values.shape != e_hat.shape:
@@ -365,12 +353,9 @@ def tune_recognizer_phase(
     if not images:
         raise ConfigError("empty training set")
     rng = np.random.default_rng([cfg.seed, epoch, 2])
-    if cfg.mode == "lsed":  # an infinite band keeps every gate open
-        lam, gate_mode = math.inf, "gated"
-    else:
-        lam, gate_mode = cfg.lam, cfg.gate_mode
-    # label -> (target grid, its embedding under the frozen surrogate)
-    targets: dict[str, tuple[CharGrid, np.ndarray]] = {}
+    lam = math.inf if cfg.mode == "lsed" else cfg.lam  # an infinite band keeps every gate open
+    # label -> its target grid's embedding under the frozen surrogate
+    targets: dict[str, np.ndarray] = {}
     for iteration in range(cfg.i_b):
         with _naming_divergence(PHASE_RECOGNIZER, epoch, iteration):
             indices = rng.integers(0, len(images), size=cfg.batch_size)
@@ -378,16 +363,11 @@ def tune_recognizer_phase(
             new = list(dict.fromkeys(im.label for im in batch if im.label not in targets))
             if new:
                 y_new = [encode_one_hot(label, dcfg.alphabet, dcfg.capacity) for label in new]
-                columns = embed(y_new, surrogate_net).values
-                for j, (label, y_grid) in enumerate(zip(new, y_new)):
-                    targets[label] = (y_grid, columns[:, j])
-            y_grids = [targets[image.label][0] for image in batch]
-            y_embed = ad.constant(np.stack([targets[im.label][1] for im in batch], axis=1))
+                targets.update(zip(new, embed(y_new, surrogate_net).values.T))
+            y_embed = ad.constant(np.stack([targets[im.label] for im in batch], axis=1))
             z_node = forward(batch, recognizer)
             es = _edit_distances(split_grids(z_node.values, len(batch)), batch, dcfg.alphabet)
-            parts = filtered_str_loss_parts(
-                z_node, y_grids, es, surrogate_net, lam, gate_mode, y_embedding=y_embed
-            )
+            parts = filtered_str_loss_parts(z_node, y_embed, es, surrogate_net, lam)
             _log_step(
                 logs,
                 epoch,

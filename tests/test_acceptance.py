@@ -210,7 +210,7 @@ def test_criterion_3_gate_zeroes_recognizer_gradients():
             y = encode_one_hot(y_label, ALPHABET3, REC_TINY.capacity)
             e = edit_distance(decoded, y_label)
             parts = filtered_str_loss_parts(
-                forward(image, rnet), [y], [e], snet, lam, gate_mode
+                forward(image, rnet), embed([y], snet), [e], snet, lam, gate_mode
             )
             grads = ad.backward(ad.sum_all(parts.loss), rnet.params.nodes())
             (gate_open,) = parts.gate_open

@@ -58,6 +58,13 @@ def test_nonfinite_values_rejected():
         ad.sqrt(ad.constant([-1.0]))
 
 
+def test_numeric_error_and_repr_name_the_op():
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="op 'exp'"):
+        ad.exp(ad.constant([800.0]))
+    assert repr(ad.exp(ad.constant([1.0]))).startswith("DiffNode(op='exp',")
+    assert repr(ad.constant([1.0])).startswith("DiffNode(op='leaf',")
+
+
 def test_shape_mismatch_rejected():
     with pytest.raises(ShapeError):
         ad.add(ad.constant([1.0]), ad.constant([1.0, 2.0]))

@@ -155,7 +155,7 @@ def tuning_batch():
 
 
 def approximation_errors(rnet, snet, y, e):
-    probe = filtered_str_loss_parts(forward(IMAGES, rnet), y, e, snet, math.inf)
+    probe = filtered_str_loss_parts(forward(IMAGES, rnet), embed(y, snet), e, snet, math.inf)
     return np.abs(probe.e_hat.values[0] - np.asarray(e))
 
 
@@ -176,17 +176,11 @@ def test_tuning_loss_batch_equals_loop(gate_mode, band):
     rnet, snet, y, e = tuning_batch()
     lam = math.inf if band == "infinite" else mixed_band(approximation_errors(rnet, snet, y, e))
     batch = filtered_str_loss_parts(
-        forward(IMAGES, rnet), y, e, snet, lam, gate_mode, y_embedding=embed(y, snet).detach()
+        forward(IMAGES, rnet), embed(y, snet).detach(), e, snet, lam, gate_mode
     )
     singles = [
         filtered_str_loss_parts(
-            forward(im, rnet),
-            [t],
-            [d],
-            snet,
-            lam,
-            gate_mode,
-            y_embedding=embed([t], snet).detach(),
+            forward(im, rnet), embed([t], snet).detach(), [d], snet, lam, gate_mode
         )
         for im, t, d in zip(IMAGES, y, e)
     ]
@@ -209,7 +203,9 @@ def test_all_closed_batch_gives_exactly_zero_recognizer_gradient(gate_mode):
     errors = approximation_errors(rnet, snet, y, e)
     assert errors.min() > 0
     for lam in (errors.min() / 2, errors.min()):  # interior and exact boundary
-        parts = filtered_str_loss_parts(forward(IMAGES, rnet), y, e, snet, lam, gate_mode)
+        parts = filtered_str_loss_parts(
+            forward(IMAGES, rnet), embed(y, snet), e, snet, lam, gate_mode
+        )
         assert not any(parts.gate_open)
         assert all(np.all(g == 0.0) for g in batch_mean_grads(parts.loss, rnet.params))
 
@@ -218,9 +214,11 @@ def test_all_closed_batch_gives_exactly_zero_recognizer_gradient(gate_mode):
 def test_mixed_batch_gradient_is_that_of_its_open_samples(gate_mode):
     rnet, snet, y, e = tuning_batch()
     lam = mixed_band(approximation_errors(rnet, snet, y, e))
-    parts = filtered_str_loss_parts(forward(IMAGES, rnet), y, e, snet, lam, gate_mode)
+    parts = filtered_str_loss_parts(forward(IMAGES, rnet), embed(y, snet), e, snet, lam, gate_mode)
     open_losses = [
-        filtered_str_loss_parts(forward(im, rnet), [t], [d], snet, lam, gate_mode).loss
+        filtered_str_loss_parts(
+            forward(im, rnet), embed([t], snet), [d], snet, lam, gate_mode
+        ).loss
         for im, t, d, gate in zip(IMAGES, y, e, parts.gate_open)
         if gate
     ]

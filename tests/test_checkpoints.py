@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from edsurrogate.errors import CheckpointError
+from edsurrogate.errors import (
+    CapacityError,
+    CheckpointError,
+    ConfigError,
+    EncodingError,
+    NumericError,
+    ShapeError,
+)
 from edsurrogate.params import load_checkpoint, save_checkpoint
 from edsurrogate.recognizer import (
     RecognizerConfig,
@@ -142,3 +151,94 @@ def test_surrogate_with_malformed_conv_weight_is_rejected(tmp_path):
     save_checkpoint(path, header, arrays)
     with pytest.raises(CheckpointError):
         load_surrogate(path)
+
+
+@pytest.mark.parametrize("image_shape", [(12.9, 32), (12, 32.5), (2**31, 32), (1e30, 32)])
+def test_recognizer_with_malformed_image_shape_is_rejected(tmp_path, image_shape):
+    config = RecognizerConfig(alphabet_size=3, capacity=4, image_height=12, image_width=32)
+    path = tmp_path / "bad.bin"
+    save_recognizer(path, RecognizerNet(config))
+    header, arrays = load_checkpoint(path)
+    arrays["meta.image_shape"] = np.array(image_shape, dtype=np.float64)
+    save_checkpoint(path, header, arrays)
+    with pytest.raises(CheckpointError):
+        load_recognizer(path)
+
+
+def test_recognizer_with_empty_conv_weight_is_rejected_before_building(tmp_path):
+    config = RecognizerConfig(
+        alphabet_size=3, capacity=4, image_height=5, image_width=12, channels=(6, 7)
+    )
+    path = tmp_path / "bad.bin"
+    save_recognizer(path, RecognizerNet(config))
+    header, arrays = load_checkpoint(path)
+    # No payload, yet the net would be built with 2^31 conv1 channels.
+    arrays["conv1.weight"] = np.zeros((2**31, 0, 3))
+    save_checkpoint(path, header, arrays)
+    with pytest.raises(CheckpointError):
+        load_recognizer(path)
+
+
+# --- corrupted bytes ----------------------------------------------------------
+
+PACKAGE_ERRORS = (
+    CapacityError,
+    CheckpointError,
+    ConfigError,
+    EncodingError,
+    NumericError,
+    ShapeError,
+)
+LOADERS = {"recognizer": load_recognizer, "surrogate": load_surrogate}
+U32_VALUES = st.sampled_from([0, 1, 2**31, 2**32 - 1]) | st.integers(0, 2**32 - 1)
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoints(tmp_path_factory):
+    """The bytes of a small saved recognizer and surrogate, and a scratch path."""
+    folder = tmp_path_factory.mktemp("fuzz")
+    save_recognizer(
+        folder / "recognizer.bin",
+        RecognizerNet(
+            RecognizerConfig(
+                alphabet_size=3, capacity=2, image_height=3, image_width=4, channels=(2,)
+            )
+        ),
+    )
+    save_surrogate(
+        folder / "surrogate.bin",
+        SurrogateNet(
+            SurrogateConfig(
+                alphabet_size=3, capacity=2, embedding_dim=2, channels=(2,) * 5, hidden=2
+            )
+        ),
+    )
+    blobs = {family: (folder / f"{family}.bin").read_bytes() for family in LOADERS}
+    return blobs, folder / "corrupt.bin"
+
+
+@st.composite
+def corrupted(draw, blob: bytes) -> bytes:
+    """blob truncated, with one byte flipped, or with one u32 overwritten."""
+    kind = draw(st.sampled_from(["truncate", "flip", "u32"]))
+    if kind == "truncate":
+        return blob[: draw(st.integers(0, len(blob) - 1))]
+    out = bytearray(blob)
+    if kind == "flip":
+        out[draw(st.integers(0, len(blob) - 1))] ^= draw(st.integers(1, 255))
+    else:
+        at = draw(st.integers(0, len(blob) - 4))
+        out[at : at + 4] = draw(U32_VALUES).to_bytes(4, "little")
+    return bytes(out)
+
+
+@pytest.mark.parametrize("family", sorted(LOADERS))
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(data=st.data())
+def test_corrupted_checkpoint_raises_only_package_errors(tiny_checkpoints, family, data):
+    blobs, path = tiny_checkpoints
+    path.write_bytes(data.draw(corrupted(blobs[family])))
+    try:
+        LOADERS[family](path)
+    except PACKAGE_ERRORS:
+        pass

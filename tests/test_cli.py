@@ -243,6 +243,7 @@ def test_divergence_is_one_error_line_naming_the_step(tmp_path, capsys):
     [
         ("train", "optimiser", "train-baseline"),
         ("train", "optimizer", "train-baseline"),  # an option that no longer exists
+        ("train", "gate_mode", "tune"),  # an option that no longer exists
         ("dataset", "colour", "gen-data"),
         ("recognizer", "chanels", "train-baseline"),
         ("surrogate", "hiden", "tune"),

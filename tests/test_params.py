@@ -112,6 +112,17 @@ def test_load_rejects_corrupt_files(tmp_path):
         load_checkpoint(truncated)
 
 
+def test_failed_save_leaves_the_earlier_file_whole(tmp_path):
+    path = tmp_path / "model.bin"
+    header = CheckpointHeader(alphabet_size=3, capacity=4, embedding_dim=0)
+    save_checkpoint(path, header, {"w": np.array([1.0, 2.0])})
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        save_checkpoint(path, header, {"w": np.array([3.0]), "x": np.array("not a number")})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
+
+
 def test_load_arrays_requires_matching_names(tmp_path):
     store = make_store()
     arrays = store.to_arrays()

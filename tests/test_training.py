@@ -9,6 +9,7 @@ from edsurrogate.surrogate import (
     SurrogateConfig,
     SurrogateLossWeights,
     SurrogateNet,
+    embed,
 )
 from edsurrogate.synth_data import DatasetConfig, sample_corpus, split_corpus
 from edsurrogate.training import (
@@ -59,8 +60,6 @@ def test_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ConfigError):
         TrainConfig(mode="other")
-    with pytest.raises(ConfigError):
-        TrainConfig(gate_mode="soft")
     with pytest.raises(ConfigError):
         TrainConfig(rho=1.0)
 
@@ -135,11 +134,13 @@ def _tuning_sample():
 @pytest.mark.parametrize("gate_mode", ["gated", "literal"])
 def test_closed_gate_gives_exactly_zero_theta_gradient(gate_mode):
     recognizer, surrogate, z_node, y_grid, e = _tuning_sample()
-    probe = filtered_str_loss_parts(z_node, [y_grid], [e], surrogate, lam=1e9)
+    probe = filtered_str_loss_parts(z_node, embed([y_grid], surrogate), [e], surrogate, lam=1e9)
     abs_err = abs(probe.e_hat.values.item() - e)
     assert abs_err > 0
     for lam in (abs_err / 2, abs_err):  # interior and exact boundary
-        parts = filtered_str_loss_parts(z_node, [y_grid], [e], surrogate, lam, gate_mode)
+        parts = filtered_str_loss_parts(
+            z_node, embed([y_grid], surrogate), [e], surrogate, lam, gate_mode
+        )
         assert parts.gate_open == (False,)
         grads = ad.backward(ad.sum_all(parts.loss), recognizer.params.nodes())
         assert all(np.all(g.values == 0.0) for g in grads)
@@ -148,9 +149,11 @@ def test_closed_gate_gives_exactly_zero_theta_gradient(gate_mode):
 @pytest.mark.parametrize("gate_mode", ["gated", "literal"])
 def test_open_gate_gives_nonzero_theta_gradient(gate_mode):
     recognizer, surrogate, z_node, y_grid, e = _tuning_sample()
-    probe = filtered_str_loss_parts(z_node, [y_grid], [e], surrogate, lam=1e9)
+    probe = filtered_str_loss_parts(z_node, embed([y_grid], surrogate), [e], surrogate, lam=1e9)
     lam = abs(probe.e_hat.values.item() - e) + 1.0
-    parts = filtered_str_loss_parts(z_node, [y_grid], [e], surrogate, lam, gate_mode)
+    parts = filtered_str_loss_parts(
+        z_node, embed([y_grid], surrogate), [e], surrogate, lam, gate_mode
+    )
     assert parts.gate_open == (True,)
     grads = ad.backward(ad.sum_all(parts.loss), recognizer.params.nodes())
     assert any(np.any(g.values != 0.0) for g in grads)
@@ -158,9 +161,11 @@ def test_open_gate_gives_nonzero_theta_gradient(gate_mode):
 
 def test_open_gate_gated_loss_gradient_equals_distance_gradient():
     recognizer, surrogate, z_node, y_grid, e = _tuning_sample()
-    probe = filtered_str_loss_parts(z_node, [y_grid], [e], surrogate, lam=1e9)
+    probe = filtered_str_loss_parts(z_node, embed([y_grid], surrogate), [e], surrogate, lam=1e9)
     lam = abs(probe.e_hat.values.item() - e) + 1.0
-    parts = filtered_str_loss_parts(z_node, [y_grid], [e], surrogate, lam, "gated")
+    parts = filtered_str_loss_parts(
+        z_node, embed([y_grid], surrogate), [e], surrogate, lam, "gated"
+    )
     loss_grads = ad.backward(ad.sum_all(parts.loss), recognizer.params.nodes())
     ehat_grads = ad.backward(ad.sum_all(parts.e_hat), recognizer.params.nodes())
     for a, b in zip(loss_grads, ehat_grads):
@@ -169,11 +174,13 @@ def test_open_gate_gated_loss_gradient_equals_distance_gradient():
 
 def test_open_gate_literal_gradient_is_signed_distance_gradient():
     recognizer, surrogate, z_node, y_grid, e = _tuning_sample()
-    probe = filtered_str_loss_parts(z_node, [y_grid], [e], surrogate, lam=1e9)
+    probe = filtered_str_loss_parts(z_node, embed([y_grid], surrogate), [e], surrogate, lam=1e9)
     e_hat = probe.e_hat.values.item()
     sign = 1.0 if e_hat > e else -1.0
     lam = abs(e_hat - e) + 1.0
-    parts = filtered_str_loss_parts(z_node, [y_grid], [e], surrogate, lam, "literal")
+    parts = filtered_str_loss_parts(
+        z_node, embed([y_grid], surrogate), [e], surrogate, lam, "literal"
+    )
     loss_grads = ad.backward(ad.sum_all(parts.loss), recognizer.params.nodes())
     ehat_grads = ad.backward(ad.sum_all(parts.e_hat), recognizer.params.nodes())
     for a, b in zip(loss_grads, ehat_grads):
@@ -182,7 +189,7 @@ def test_open_gate_literal_gradient_is_signed_distance_gradient():
 
 def test_huge_lambda_opens_every_gate():
     recognizer, surrogate, z_node, y_grid, e = _tuning_sample()
-    parts = filtered_str_loss_parts(z_node, [y_grid], [e], surrogate, lam=1e9)
+    parts = filtered_str_loss_parts(z_node, embed([y_grid], surrogate), [e], surrogate, lam=1e9)
     assert parts.gate_open == (True,)
     assert parts.loss.values.item() == pytest.approx(parts.e_hat.values.item())
 
