@@ -107,7 +107,7 @@ def _read_config(path: str | None) -> dict:
 def _layered(preset: dict, file_cfg: dict, section: str, flags: dict) -> dict:
     """The desk preset, overridden in turn by the config file's seed, its
     section and the flags given on the command line."""
-    values = {**preset, "seed": int(file_cfg.get("seed", 0)), **file_cfg.get(section, {})}
+    values = {**preset, "seed": file_cfg.get("seed", 0), **file_cfg.get(section, {})}
     values.update({name: flag for name, flag in flags.items() if flag is not None})
     return values
 

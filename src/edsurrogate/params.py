@@ -147,6 +147,26 @@ def tensor_shape(arrays: dict[str, np.ndarray], name: str, ndim: int, family: st
     return shape
 
 
+def conv_chain(arrays: dict[str, np.ndarray], family: str, c_in: int, layers: int) -> tuple:
+    """Output channels and kernel of the weights conv0 to conv{layers-1} of
+    a family checkpoint, each of which must read the channels of the layer
+    before (c_in for conv0) with conv0's kernel. Checked before a net is
+    built, which sizes its tensors from these."""
+    kernel = tensor_shape(arrays, "conv0.weight", 3, family)[2]
+    channels = []
+    for i in range(layers):
+        name = f"conv{i}.weight"
+        shape = tensor_shape(arrays, name, 3, family)
+        if shape[1:] != (c_in, kernel):
+            raise CheckpointError(
+                f"tensor {name!r} in {family} checkpoint has shape {shape}, "
+                f"but follows {c_in} channels with kernel {kernel}"
+            )
+        c_in = shape[0]
+        channels.append(c_in)
+    return tuple(channels), kernel
+
+
 def save_checkpoint(path, header: CheckpointHeader, arrays: dict[str, np.ndarray]) -> None:
     """Write to a temporary file beside path, then rename it over path, so a
     save that fails leaves any earlier file at path whole."""

@@ -16,10 +16,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DiffNode
-from .errors import CheckpointError, ConfigError, NumericError, ShapeError
+from .errors import CheckpointError, ConfigError, NumericError, ShapeError, check_field_types
 from .params import (
     CheckpointHeader,
     ParamStore,
+    conv_chain,
     load_checkpoint,
     network_meta,
     pop_network_meta,
@@ -60,6 +61,7 @@ class RecognizerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types("recognizer", self)
         if self.alphabet_size < 2 or self.capacity < 1:
             raise ConfigError("alphabet_size >= 2 and capacity >= 1 required")
         if self.image_height < 1 or self.image_width < 1:
@@ -159,21 +161,25 @@ def load_recognizer(path) -> RecognizerNet:
     if tensor_shape(arrays, META_IMAGE_SHAPE, 1, "recognizer") != (2,):
         raise CheckpointError(f"tensor {META_IMAGE_SHAPE!r} must hold the image height and width")
     height, width = arrays.pop(META_IMAGE_SHAPE).tolist()
-    _, conv_in, kernel = tensor_shape(arrays, "conv0.weight", 3, "recognizer")
+    conv_in = tensor_shape(arrays, "conv0.weight", 3, "recognizer")[1]
     # Checked before the net is built, which sizes its tensors from these.
     if height != conv_in or not width.is_integer():
         raise CheckpointError(f"image shape ({height!r}, {width!r}) does not fit conv0.weight")
-    if tensor_shape(arrays, "head.weight", 2, "recognizer")[0] != header.alphabet_size:
+    layers = 1
+    while f"conv{layers}.weight" in arrays:
+        layers += 1
+    channels, kernel = conv_chain(arrays, "recognizer", conv_in, layers)
+    head_rows, head_in = tensor_shape(arrays, "head.weight", 2, "recognizer")
+    if head_rows != header.alphabet_size:
         raise CheckpointError(f"header alphabet_size {header.alphabet_size} != head rows")
-    channels = []
-    while f"conv{len(channels)}.weight" in arrays:
-        channels.append(tensor_shape(arrays, f"conv{len(channels)}.weight", 3, "recognizer")[0])
+    if head_in != channels[-1]:
+        raise CheckpointError(f"head.weight reads {head_in} channels, not {channels[-1]}")
     config = RecognizerConfig(
         alphabet_size=header.alphabet_size,
         capacity=header.capacity,
         image_height=int(height),
         image_width=int(width),
-        channels=tuple(channels),
+        channels=channels,
         kernel=kernel,
         **network,
     )

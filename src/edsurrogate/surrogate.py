@@ -17,10 +17,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DiffNode
-from .errors import CheckpointError, ConfigError, ShapeError
+from .errors import CheckpointError, ConfigError, ShapeError, check_field_types
 from .params import (
     CheckpointHeader,
     ParamStore,
+    conv_chain,
     load_checkpoint,
     network_meta,
     pop_network_meta,
@@ -44,6 +45,7 @@ class SurrogateConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types("surrogate", self)
         if self.alphabet_size < 2 or self.capacity < 1:
             raise ConfigError("alphabet_size >= 2 and capacity >= 1 required")
         if self.embedding_dim < 1 or self.hidden < 1:
@@ -62,9 +64,10 @@ class SurrogateLossWeights:
     w2: float = 0.1
 
     def __post_init__(self):
+        check_field_types("train", self)
         if not self.w1 > 0:
             raise ConfigError("w1 must be > 0")
-        if self.w2 < 0:
+        if not self.w2 >= 0:
             raise ConfigError("w2 must be >= 0")
 
 
@@ -194,21 +197,25 @@ def load_surrogate(path) -> SurrogateNet:
     """Rebuild a net from a checkpoint; layer sizes come from tensor shapes."""
     header, arrays = load_checkpoint(path)
     network = pop_network_meta(arrays)
-    convs = [tensor_shape(arrays, f"conv{i}.weight", 3, "surrogate") for i in range(CONV_LAYERS)]
-    hidden = tensor_shape(arrays, "fc1.weight", 2, "surrogate")[0]
-    out_dim = tensor_shape(arrays, "fc2.weight", 2, "surrogate")[0]
+    # Checked before the net is built, which sizes its tensors from these.
+    channels, kernel = conv_chain(arrays, "surrogate", header.alphabet_size, CONV_LAYERS)
+    hidden, fc1_in = tensor_shape(arrays, "fc1.weight", 2, "surrogate")
+    out_dim, fc2_in = tensor_shape(arrays, "fc2.weight", 2, "surrogate")
     if out_dim != header.embedding_dim:
         raise CheckpointError(
             f"header embedding_dim {header.embedding_dim} != fc2 rows {out_dim}"
         )
-    if convs[0][1] != header.alphabet_size:
-        raise CheckpointError(f"header alphabet_size {header.alphabet_size} != conv0 input")
+    if (fc1_in, fc2_in) != (channels[-1], hidden):
+        raise CheckpointError(
+            f"fc1.weight reads {fc1_in} channels and fc2.weight {fc2_in}, "
+            f"not {channels[-1]} and {hidden}"
+        )
     config = SurrogateConfig(
         alphabet_size=header.alphabet_size,
         capacity=header.capacity,
         embedding_dim=header.embedding_dim,
-        channels=tuple(shape[0] for shape in convs),
-        kernel=convs[0][2],
+        channels=channels,
+        kernel=kernel,
         hidden=hidden,
         **network,
     )

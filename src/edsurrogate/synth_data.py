@@ -15,12 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, reject_unknown_keys
+from .errors import CapacityError, ConfigError, check_field_types, reject_unknown_keys
 from .recognizer import WordImage
 from .text_metrics import Alphabet, CharGrid, edit_distance, encode_one_hot
 
 LABELS_FILE = "labels.tsv"
 META_FILE = "dataset.json"
+_GLYPH_TABLES: dict[tuple, np.ndarray] = {}  # _glyph_table's cache, at most 8 entries
 
 
 @dataclass(frozen=True)
@@ -37,13 +38,14 @@ class DatasetConfig:
     glyph_seed: int = 7
 
     def __post_init__(self):
+        check_field_types("dataset", self)
         if self.capacity < 1 or self.corpus_size < 1:
             raise ConfigError("capacity and corpus_size must be positive")
         if self.image_width < self.capacity * self.glyph_width:
             raise ConfigError("image width must fit capacity * glyph_width")
         if self.image_width % self.capacity != 0:
             raise ConfigError("image width must be a multiple of the capacity")
-        if self.noise_std < 0:
+        if not self.noise_std >= 0:
             raise ConfigError("noise_std must be >= 0")
         slack = self.image_width // self.capacity - self.glyph_width
         if not 0 <= self.shift_range <= slack:
@@ -67,6 +69,8 @@ class DatasetConfig:
         data = dict(data)
         reject_unknown_keys("dataset", data, [f.name for f in fields(cls)])
         symbols = data.pop("alphabet")
+        if not isinstance(symbols, str):
+            raise ConfigError(f"dataset key 'alphabet' must be a string, got {symbols!r}")
         return cls(alphabet=Alphabet.from_string(symbols), **data)
 
 
@@ -92,17 +96,27 @@ def glyph_bitmap(char_index: int, cfg: DatasetConfig) -> np.ndarray:
     return (rng.random((cfg.image_height, cfg.glyph_width)) < 0.5).astype(np.float64)
 
 
+def _glyph_table(cfg: DatasetConfig) -> np.ndarray:
+    """Read-only stack of every symbol's glyph_bitmap, drawn once per glyph-defining config."""
+    key = (cfg.glyph_seed, cfg.image_height, cfg.glyph_width, len(cfg.alphabet))
+    if key not in _GLYPH_TABLES:
+        if len(_GLYPH_TABLES) == 8:
+            _GLYPH_TABLES.clear()
+        table = _GLYPH_TABLES[key] = np.stack([glyph_bitmap(i, cfg) for i in range(key[3])])
+        table.setflags(write=False)
+    return _GLYPH_TABLES[key]
+
+
 def render_word(word: str, cfg: DatasetConfig, rng) -> WordImage:
     cfg.alphabet.validate_word(word)
     if len(word) > cfg.capacity:
         raise CapacityError(f"word {word!r} exceeds capacity {cfg.capacity}")
     canvas = np.zeros((cfg.image_height, cfg.image_width))
     shift = int(rng.integers(0, cfg.shift_range + 1)) if cfg.shift_range else 0
+    glyphs = _glyph_table(cfg)
     for slot, char in enumerate(word):
         col = slot * cfg.cell_width + shift
-        canvas[:, col : col + cfg.glyph_width] = glyph_bitmap(
-            cfg.alphabet.index_of(char), cfg
-        )
+        canvas[:, col : col + cfg.glyph_width] = glyphs[cfg.alphabet.index_of(char)]
     if cfg.noise_std > 0:
         canvas = canvas + rng.normal(0.0, cfg.noise_std, canvas.shape)
     return WordImage(np.clip(canvas, 0.0, 1.0), word)
@@ -201,6 +215,8 @@ def _parse_pgm(blob: bytes) -> np.ndarray:
     if fields[0] != b"P5" or fields[3] != b"255":
         raise ValueError("expected an 8-bit P5 graymap")
     w, h = int(fields[1]), int(fields[2])
+    if w < 1 or h < 1:
+        raise ValueError(f"graymap size {w}x{h} is not positive")
     raster = blob[pos + 1 : pos + 1 + w * h]
     if len(raster) != w * h:
         raise ValueError("truncated graymap raster")

@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import DiffNode
 from .blas import one_blas_thread
-from .errors import ConfigError, NumericError, ShapeError, reject_unknown_keys
+from .errors import ConfigError, NumericError, ShapeError, check_field_types, reject_unknown_keys
 from .params import ParamStore
 from .recognizer import (
     RecognizerConfig,
@@ -73,17 +73,18 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types("train", self)
         if self.i_a < 1 or self.i_b < 1 or self.epochs < 1:
             raise ConfigError("i_a, i_b and epochs must be >= 1")
         if not self.lam > 0:
             raise ConfigError("lambda must be > 0")
         if self.batch_size < 1 or self.pretrain_iterations < 1:
             raise ConfigError("batch_size and pretrain_iterations must be >= 1")
-        if self.eta_a <= 0 or self.eta_b <= 0 or self.eta_pre <= 0:
+        if not (self.eta_a > 0 and self.eta_b > 0 and self.eta_pre > 0):
             raise ConfigError("learning rates must be positive")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
-        if not 0 <= self.rho < 1 or self.eps <= 0:
+        if not (0 <= self.rho < 1 and self.eps > 0):
             raise ConfigError("rho must lie in [0, 1) and eps must be positive")
 
     @classmethod
@@ -394,7 +395,7 @@ def _net_config(config_class, section: str, derived: dict, overrides: dict | Non
     config file section."""
     values = dict(overrides or {})
     reject_unknown_keys(section, values, [f.name for f in fields(config_class)])
-    if "channels" in values:
+    if isinstance(values.get("channels"), list):
         values["channels"] = tuple(values["channels"])
     return config_class(**{**derived, **values})
 

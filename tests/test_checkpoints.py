@@ -11,6 +11,8 @@ from edsurrogate.errors import (
     NumericError,
     ShapeError,
 )
+from edsurrogate import recognizer as recognizer_module
+from edsurrogate import surrogate as surrogate_module
 from edsurrogate.params import load_checkpoint, save_checkpoint
 from edsurrogate.recognizer import (
     RecognizerConfig,
@@ -177,6 +179,59 @@ def test_recognizer_with_empty_conv_weight_is_rejected_before_building(tmp_path)
     save_checkpoint(path, header, arrays)
     with pytest.raises(CheckpointError):
         load_recognizer(path)
+
+
+def _never_built(config):
+    raise AssertionError(f"net built from {config}")
+
+
+@pytest.mark.parametrize(
+    "name,shape",
+    [
+        ("conv1.weight", (7, 5, 3)),  # reads 5 channels, conv0 gives 6
+        ("conv1.weight", (7, 6, 5)),  # kernel 5 after conv0's 3
+        ("head.weight", (3, 6)),  # reads 6 channels, conv1 gives 7
+    ],
+)
+def test_recognizer_with_broken_conv_chain_is_rejected_before_building(
+    tmp_path, monkeypatch, name, shape
+):
+    config = RecognizerConfig(
+        alphabet_size=3, capacity=4, image_height=5, image_width=12, channels=(6, 7)
+    )
+    path = tmp_path / "bad.bin"
+    save_recognizer(path, RecognizerNet(config))
+    header, arrays = load_checkpoint(path)
+    arrays[name] = np.ones(shape)
+    save_checkpoint(path, header, arrays)
+    monkeypatch.setattr(recognizer_module, "RecognizerNet", _never_built)
+    with pytest.raises(CheckpointError):
+        load_recognizer(path)
+
+
+@pytest.mark.parametrize(
+    "name,shape",
+    [
+        ("conv2.weight", (4, 4, 3)),  # reads 4 channels, conv1 gives 5
+        ("conv3.weight", (6, 4, 5)),  # kernel 5 after conv0's 3
+        ("fc1.weight", (7, 6)),  # reads 6 channels, conv4 gives 4
+        ("fc2.weight", (8, 6)),  # reads 6 rows, fc1 gives 7
+    ],
+)
+def test_surrogate_with_broken_conv_chain_is_rejected_before_building(
+    tmp_path, monkeypatch, name, shape
+):
+    config = SurrogateConfig(
+        alphabet_size=3, capacity=4, embedding_dim=8, channels=(4, 5, 4, 6, 4), hidden=7
+    )
+    path = tmp_path / "bad.bin"
+    save_surrogate(path, SurrogateNet(config))
+    header, arrays = load_checkpoint(path)
+    arrays[name] = np.ones(shape)
+    save_checkpoint(path, header, arrays)
+    monkeypatch.setattr(surrogate_module, "SurrogateNet", _never_built)
+    with pytest.raises(CheckpointError):
+        load_surrogate(path)
 
 
 # --- corrupted bytes ----------------------------------------------------------

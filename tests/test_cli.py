@@ -264,6 +264,44 @@ def test_unknown_config_key_is_one_error_line(tmp_path, capsys, section, key, co
     assert err == f"error: unknown {section} key {key!r}\n"
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "command,section,key,value",
+    [
+        ("train-baseline", "dataset", "corpus_size", 40.5),
+        ("train-baseline", "train", "batch_size", 2.5),
+        ("train-baseline", "train", "i_a", "3"),
+        ("train-baseline", "dataset", "alphabet", 5),
+        ("train-baseline", "dataset", "capacity", True),
+        ("train-baseline", None, "seed", 2.5),
+        ("train-baseline", "train", "lam", 10**400),
+        ("tune", "dataset", "noise_std", NAN),
+        ("tune", "train", "w2", NAN),
+        ("tune", "train", "eta_a", NAN),
+        ("tune", "train", "eta_b", INF),
+        ("tune", "train", "eta_pre", -INF),
+        ("tune", "train", "eps", NAN),
+        ("tune", "train", "eps", INF),
+        ("tune", "recognizer", "channels", [8, 2.5]),
+        ("tune", "surrogate", "slope", INF),
+    ],
+)
+def test_config_value_of_wrong_type_is_one_error_line(
+    tmp_path, capsys, command, section, key, value
+):
+    config = {"dataset": {"corpus_size": 20}, "train": {"pretrain_iterations": 1}}
+    (config.setdefault(section, {}) if section else config)[key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")  # NaN and Infinity as Python's json writes them
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"key {key!r}" in err
+
+
 def test_unknown_config_section_is_rejected(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"trian": {}}), encoding="utf-8")

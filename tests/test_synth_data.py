@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edsurrogate import synth_data
 from edsurrogate.errors import CapacityError, ConfigError
 from edsurrogate.synth_data import (
     DatasetConfig,
+    _parse_pgm,
     glyph_bitmap,
     load_dataset,
     mutate_word,
@@ -54,6 +56,46 @@ def test_render_without_noise_is_pure_glyph_composition():
             cfg.alphabet.index_of(char), cfg
         )
     assert np.array_equal(image.pixels, expected)
+
+
+def reference_corpus(cfg: DatasetConfig) -> list[tuple[str, bytes]]:
+    """sample_corpus composed from glyph_bitmap per character, drawing the
+    word, the shift and the noise in that order from rng([seed, i])."""
+    samples = []
+    for index in range(cfg.corpus_size):
+        rng = np.random.default_rng([cfg.seed, index])
+        word = sample_word(cfg, rng)
+        canvas = np.zeros((cfg.image_height, cfg.image_width))
+        shift = int(rng.integers(0, cfg.shift_range + 1)) if cfg.shift_range else 0
+        for slot, char in enumerate(word):
+            col = slot * cfg.cell_width + shift
+            canvas[:, col : col + cfg.glyph_width] = glyph_bitmap(
+                cfg.alphabet.index_of(char), cfg
+            )
+        canvas = canvas + rng.normal(0.0, cfg.noise_std, canvas.shape)
+        samples.append((word, np.clip(canvas, 0.0, 1.0).tobytes()))
+    return samples
+
+
+def test_corpus_matches_glyph_by_glyph_reference_across_configs():
+    base = DatasetConfig.desk(corpus_size=40)
+    configs = [
+        base,
+        DatasetConfig.desk(corpus_size=40, glyph_seed=8),
+        DatasetConfig.desk(corpus_size=40, image_height=10),
+    ]
+    for cfg in configs * 2:  # alternate, so each config also renders after the others
+        rendered = [(w.label, w.pixels.tobytes()) for w in sample_corpus(cfg)]
+        assert rendered == reference_corpus(cfg), cfg
+
+
+def test_cached_glyphs_are_read_only_and_equal_the_definition():
+    table = synth_data._glyph_table(CFG)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[1, 0, 0] = 0.5
+    for index in range(len(CFG.alphabet)):
+        assert np.array_equal(table[index], glyph_bitmap(index, CFG))
 
 
 def test_render_rejects_overlong_word():
@@ -162,3 +204,46 @@ def test_dataset_files_are_byte_stable(tmp_path):
         assert (tmp_path / "one" / name).read_bytes() == (
             tmp_path / "two" / name
         ).read_bytes()
+
+
+@pytest.mark.parametrize("blob", [b"P5 0 3 255\n", b"P5 -1 -1 255\nx", b"P5 3 0 255\n"])
+def test_parse_pgm_rejects_sizes_below_one(blob):
+    with pytest.raises(ValueError, match="not positive"):
+        _parse_pgm(blob)
+
+
+def _parsed_or_rejected(blob: bytes):
+    """The parsed pixels, or None when _parse_pgm raised its ValueError."""
+    try:
+        pixels = _parse_pgm(blob)
+    except ValueError:
+        return None
+    assert pixels.ndim == 2 and pixels.size > 0
+    assert pixels.min() >= 0.0 and pixels.max() <= 1.0
+    return pixels
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(st.binary(max_size=64))
+def test_parse_pgm_on_arbitrary_bytes_raises_only_value_error(blob):
+    _parsed_or_rejected(blob)
+
+
+@st.composite
+def pgm_headers(draw) -> tuple[bytes, int, int]:
+    """A P5 header with small or negative dims, then a raster that may be
+    short, exact or long."""
+    w, h = draw(st.integers(-2, 4)), draw(st.integers(-2, 4))
+    sep = draw(st.sampled_from([b" ", b"\n", b"\t", b"\n# comment\n"]))
+    size = draw(st.integers(0, max(w * h, 0) + 2))
+    header = sep.join([b"P5", str(w).encode(), str(h).encode(), b"255"])
+    return header + b"\n" + draw(st.binary(min_size=size, max_size=size)), w, h
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(pgm_headers())
+def test_parse_pgm_on_well_formed_headers_returns_h_by_w_or_raises(case):
+    blob, w, h = case
+    pixels = _parsed_or_rejected(blob)
+    if pixels is not None:
+        assert pixels.shape == (h, w)
