@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,19 +37,15 @@ from .training import (
     PhaseLogRecord,
     PostTuningResult,
     TrainConfig,
+    _dataset_fields,
+    _net_config,
     build_recognizer,
     build_surrogate,
     pretrain_recognizer,
     run_post_tuning,
 )
 
-# Config file sections and the keys each accepts.
-SECTION_KEYS = {
-    "dataset": list(DatasetConfig.desk().to_dict()),
-    "train": list(TrainConfig.desk().to_dict()),
-    "recognizer": [f.name for f in fields(RecognizerConfig)],
-    "surrogate": [f.name for f in fields(SurrogateConfig)],
-}
+_SECTIONS = ("dataset", "train", "recognizer", "surrogate")  # of a config file
 
 
 @dataclass
@@ -94,13 +90,16 @@ def _read_config(path: str | None) -> dict:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
-    reject_unknown_keys("config", data, ("seed", *SECTION_KEYS))
-    # Every section is checked, whichever the command reads, so that any
-    # command reports a misspelled key.
-    for name, keys in SECTION_KEYS.items():
+    reject_unknown_keys("config", data, ("seed", *_SECTIONS))
+    for name in _SECTIONS:
         if not isinstance(data.get(name, {}), dict):
             raise ConfigError(f"config section {name!r} must be a JSON object")
-        reject_unknown_keys(name, data.get(name, {}), keys)
+    # Every section's config is built, whichever the command reads, so that
+    # any command reports a misspelled key or a bad value.
+    dcfg = _dataset_config(data)
+    _train_config(data)
+    for config_class, name in ((RecognizerConfig, "recognizer"), (SurrogateConfig, "surrogate")):
+        _net_config(config_class, name, dcfg, dcfg.seed, data.get(name))
     return data
 
 
@@ -112,14 +111,24 @@ def _layered(preset: dict, file_cfg: dict, section: str, flags: dict) -> dict:
     return values
 
 
-def _dataset_config(file_cfg: dict, args) -> DatasetConfig:
-    preset = DatasetConfig.desk().to_dict()
-    return DatasetConfig.from_dict(_layered(preset, file_cfg, "dataset", {"seed": args.seed}))
+def _dataset_config(file_cfg: dict, args=None) -> DatasetConfig:
+    preset, flags = DatasetConfig.desk().to_dict(), {"seed": getattr(args, "seed", None)}
+    return DatasetConfig.from_dict(_layered(preset, file_cfg, "dataset", flags))
 
 
-def _train_config(file_cfg: dict, args) -> TrainConfig:
+def _train_config(file_cfg: dict, args=None) -> TrainConfig:
     flags = {name: getattr(args, name, None) for name in ("seed", "mode", "epochs", "lam")}
     return TrainConfig.from_dict(_layered(TrainConfig.desk().to_dict(), file_cfg, "train", flags))
+
+
+def _load_recognizer(path: str, dcfg: DatasetConfig) -> RecognizerNet:
+    """The recognizer checkpoint at path, which must fit dcfg's images and alphabet."""
+    net = load_recognizer(path)
+    for name, value in _dataset_fields(RecognizerConfig, dcfg).items():
+        if getattr(net.config, name) != value:
+            saved = getattr(net.config, name)
+            raise ConfigError(f"checkpoint {path} has {name} {saved}, but the dataset has {value}")
+    return net
 
 
 def _out_dir(args) -> Path:
@@ -165,7 +174,7 @@ def _cmd_tune(args) -> int:
     dcfg = _dataset_config(file_cfg, args)
     cfg = _train_config(file_cfg, args)
     split = split_corpus(sample_corpus(dcfg))
-    net = None if args.checkpoint is None else load_recognizer(args.checkpoint)
+    net = None if args.checkpoint is None else _load_recognizer(args.checkpoint, dcfg)
     out = _out_dir(args)
     run = run_experiment(cfg, dcfg, split, net, file_cfg, out)
     rel = relative_ted_improvement(run.baseline.ted, run.tuned.ted)
@@ -179,7 +188,7 @@ def _cmd_tune(args) -> int:
 def _cmd_evaluate(args) -> int:
     file_cfg = _read_config(args.config)
     dcfg = _dataset_config(file_cfg, args)
-    net = load_recognizer(args.checkpoint)
+    net = _load_recognizer(args.checkpoint, dcfg)
     split = split_corpus(sample_corpus(dcfg))
     images = getattr(split, args.split)
     report = evaluate_model(net, images, dcfg.alphabet, dataset_id=args.split)

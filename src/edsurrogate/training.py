@@ -7,14 +7,15 @@ approximation error; "lsed" trains without the gate and feeds the surrogate
 extra randomly generated word pairs. Plain cross-entropy pretraining, the
 baseline both modes start from, is pretrain_recognizer.
 
-Every optimizer step builds one graph for its whole minibatch: the per-sample
-losses come out as a (1, B) row, and the step descends on their mean.
+Every phase runs in one private step loop, _run_phase. It owns the BLAS pin,
+the generator keyed by (seed, epoch, phase), the index draw, the log records,
+the ADADELTA step on the batch mean and the naming of a diverged step. A phase
+supplies only a step that builds one graph for its minibatch's (1, B) losses.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -223,33 +224,42 @@ def _descend(params: ParamStore, losses: DiffNode, state, cfg: TrainConfig, lr: 
     adadelta_step(params, values, state, cfg.rho, cfg.eps, lr)
 
 
-@contextmanager
-def _naming_divergence(phase: str, epoch: int, iteration: int):
-    """Re-raise a NumericError with the step it came from."""
-    try:
-        yield
-    except NumericError as exc:
-        raise NumericError(
-            f"{phase} phase diverged at epoch {epoch}, iteration {iteration}: {exc}"
-        ) from exc
-
-
 def _edit_distances(grids: list[CharGrid], images: list[WordImage], alphabet) -> list[int]:
     """Edit distance between each greedily decoded grid and its image's label."""
     return [edit_distance(decode_greedy(g, alphabet), im.label) for g, im in zip(grids, images)]
 
 
-def _log_step(logs, epoch, phase, iteration, indices, es, e_hats, losses, gates) -> None:
-    """One record per sample of an optimizer step."""
-    logs.extend(
-        PhaseLogRecord(epoch, phase, iteration, int(index), e, e_hat, loss, gate)
-        for index, e, e_hat, loss, gate in zip(indices, es, e_hats, losses, gates)
-    )
+_STREAMS = {PHASE_PRETRAIN: 0, PHASE_SURROGATE: 1, PHASE_RECOGNIZER: 2}
+
+
+def _run_phase(phase, epoch, iterations, images, cfg, params, state, lr, step, logs) -> None:
+    """The step loop every phase shares. Each iteration draws batch_size
+    indices from the phase's keyed generator; step(indices, rng) returns the
+    batch's (1, B) loss row and per-sample (index, e, e_hat, gate) columns,
+    logged when logs is not None; params then descend at rate lr. A
+    NumericError is re-raised naming the phase, epoch and iteration."""
+    if not images:
+        raise ConfigError("empty training set")
+    rng = np.random.default_rng([cfg.seed, epoch, _STREAMS[phase]])
+    with one_blas_thread():
+        for iteration in range(iterations):
+            indices = [int(index) for index in rng.integers(0, len(images), size=cfg.batch_size)]
+            try:
+                losses, columns = step(indices, rng)
+                if logs is not None:
+                    logs.extend(
+                        PhaseLogRecord(epoch, phase, iteration, index, e, e_hat, loss, gate)
+                        for index, e, e_hat, gate, loss in zip(*columns, losses.values[0].tolist())
+                    )
+                _descend(params, losses, state, cfg, lr)
+            except NumericError as exc:
+                raise NumericError(
+                    f"{phase} phase diverged at epoch {epoch}, iteration {iteration}: {exc}"
+                ) from exc
 
 
 # --- phases -------------------------------------------------------------------
 
-@one_blas_thread()
 def pretrain_recognizer(
     images: list[WordImage],
     recognizer: RecognizerNet,
@@ -257,32 +267,27 @@ def pretrain_recognizer(
     dcfg: DatasetConfig,
     logs: list[PhaseLogRecord] | None = None,
 ) -> None:
-    """Plain cross-entropy training of the recognizer (the baseline)."""
-    if not images:
-        raise ConfigError("empty training set")
-    rng = np.random.default_rng([cfg.seed, 0, 0])
-    state = OptimizerState(recognizer.params)
-    targets = {}
-    for iteration in range(cfg.pretrain_iterations):
-        with _naming_divergence(PHASE_PRETRAIN, 0, iteration):
-            indices = rng.integers(0, len(images), size=cfg.batch_size)
-            batch = [images[index] for index in indices]
-            for image in batch:
-                if image.label not in targets:
-                    targets[image.label] = encode_one_hot(
-                        image.label, dcfg.alphabet, dcfg.capacity
-                    )
-            z_node = forward(batch, recognizer)
-            losses = ce_loss(z_node, [targets[image.label] for image in batch])
-            if logs is not None:
-                es = _edit_distances(split_grids(z_node.values, len(batch)), batch, dcfg.alphabet)
-                nans, closed = [math.nan] * len(batch), [False] * len(batch)
-                row = losses.values[0].tolist()
-                _log_step(logs, 0, PHASE_PRETRAIN, iteration, indices, es, nans, row, closed)
-            _descend(recognizer.params, losses, state, cfg, cfg.eta_pre)
+    """Plain cross-entropy training of the recognizer (the baseline). Without
+    logs, nothing is decoded."""
+    targets = {}  # label -> its one-hot target grid
+
+    def step(indices, rng):
+        batch = [images[index] for index in indices]
+        for label in {image.label for image in batch} - targets.keys():
+            targets[label] = encode_one_hot(label, dcfg.alphabet, dcfg.capacity)
+        z_node = forward(batch, recognizer)
+        losses = ce_loss(z_node, [targets[image.label] for image in batch])
+        if logs is None:
+            return losses, None
+        es = _edit_distances(split_grids(z_node.values, len(batch)), batch, dcfg.alphabet)
+        return losses, (indices, es, [math.nan] * len(batch), [False] * len(batch))
+
+    _run_phase(
+        PHASE_PRETRAIN, 0, cfg.pretrain_iterations, images, cfg, recognizer.params,
+        OptimizerState(recognizer.params), cfg.eta_pre, step, logs,
+    )
 
 
-@one_blas_thread()
 def train_surrogate_phase(
     images: list[WordImage],
     recognizer: RecognizerNet,
@@ -295,50 +300,40 @@ def train_surrogate_phase(
 ) -> None:
     """i_a updates of the surrogate on (predicted grid, target grid, true ED)
     triples from the frozen recognizer. In lsed mode every odd batch position
-    holds a pair from the random pair generator instead."""
-    if not images:
-        raise ConfigError("empty training set")
-    rng = np.random.default_rng([cfg.seed, epoch, 1])
+    holds a pair from the random pair generator instead, drawn after the
+    batch's indices."""
     # index -> (predicted grid, target grid, edit distance), for this phase
     cache: dict[int, tuple[CharGrid, CharGrid, int]] = {}
     generated = range(1, cfg.batch_size, 2) if cfg.mode == "lsed" else range(0)
-    for iteration in range(cfg.i_a):
-        with _naming_divergence(PHASE_SURROGATE, epoch, iteration):
-            indices = [int(index) for index in rng.integers(0, len(images), size=cfg.batch_size)]
-            pairs = {position: random_pair_generator(dcfg, rng) for position in generated}
-            real = [index for position, index in enumerate(indices) if position not in pairs]
-            misses = list(dict.fromkeys(index for index in real if index not in cache))
-            if misses:
-                missed = [images[index] for index in misses]
-                grids = split_grids(forward(missed, recognizer).values, len(misses))
-                es = _edit_distances(grids, missed, dcfg.alphabet)
-                for index, grid, e in zip(misses, grids, es):
-                    y_grid = encode_one_hot(images[index].label, dcfg.alphabet, dcfg.capacity)
-                    cache[index] = (grid, y_grid, e)
-            samples = [
-                (pairs[position].grid_a, pairs[position].grid_b, pairs[position].ed)
-                if position in pairs
-                else cache[index]
-                for position, index in enumerate(indices)
-            ]
-            z_grids, y_grids, es = (list(column) for column in zip(*samples))
-            parts = surrogate_loss_parts(z_grids, y_grids, es, surrogate_net, cfg.weights)
-            e_hats = parts.e_hat.values[0].tolist()
-            _log_step(
-                logs,
-                epoch,
-                PHASE_SURROGATE,
-                iteration,
-                [GENERATED_SAMPLE_INDEX if p in pairs else i for p, i in enumerate(indices)],
-                es,
-                e_hats,
-                parts.loss.values[0].tolist(),
-                [abs(e_hat - e) < cfg.lam for e_hat, e in zip(e_hats, es)],
-            )
-            _descend(surrogate_net.params, parts.loss, state, cfg, cfg.eta_a)
+
+    def step(indices, rng):
+        pairs = {position: random_pair_generator(dcfg, rng) for position in generated}
+        real = [index for position, index in enumerate(indices) if position not in pairs]
+        misses = list(dict.fromkeys(index for index in real if index not in cache))
+        if misses:
+            missed = [images[index] for index in misses]
+            grids = split_grids(forward(missed, recognizer).values, len(misses))
+            es = _edit_distances(grids, missed, dcfg.alphabet)
+            for index, grid, e in zip(misses, grids, es):
+                y_grid = encode_one_hot(images[index].label, dcfg.alphabet, dcfg.capacity)
+                cache[index] = (grid, y_grid, e)
+        samples = [
+            (pairs[p].grid_a, pairs[p].grid_b, pairs[p].ed) if p in pairs else cache[i]
+            for p, i in enumerate(indices)
+        ]
+        z_grids, y_grids, es = (list(column) for column in zip(*samples))
+        parts = surrogate_loss_parts(z_grids, y_grids, es, surrogate_net, cfg.weights)
+        e_hats = parts.e_hat.values[0].tolist()
+        logged = [GENERATED_SAMPLE_INDEX if p in pairs else i for p, i in enumerate(indices)]
+        gates = [abs(e_hat - e) < cfg.lam for e_hat, e in zip(e_hats, es)]
+        return parts.loss, (logged, es, e_hats, gates)
+
+    _run_phase(
+        PHASE_SURROGATE, epoch, cfg.i_a, images, cfg,
+        surrogate_net.params, state, cfg.eta_a, step, logs,
+    )
 
 
-@one_blas_thread()
 def tune_recognizer_phase(
     images: list[WordImage],
     recognizer: RecognizerNet,
@@ -351,36 +346,26 @@ def tune_recognizer_phase(
 ) -> None:
     """i_b updates of the recognizer against the frozen surrogate. FEDS mode
     gates each sample on |e_hat - e| < lambda; lsed mode trains ungated."""
-    if not images:
-        raise ConfigError("empty training set")
-    rng = np.random.default_rng([cfg.seed, epoch, 2])
     lam = math.inf if cfg.mode == "lsed" else cfg.lam  # an infinite band keeps every gate open
     # label -> its target grid's embedding under the frozen surrogate
     targets: dict[str, np.ndarray] = {}
-    for iteration in range(cfg.i_b):
-        with _naming_divergence(PHASE_RECOGNIZER, epoch, iteration):
-            indices = rng.integers(0, len(images), size=cfg.batch_size)
-            batch = [images[int(index)] for index in indices]
-            new = list(dict.fromkeys(im.label for im in batch if im.label not in targets))
-            if new:
-                y_new = [encode_one_hot(label, dcfg.alphabet, dcfg.capacity) for label in new]
-                targets.update(zip(new, embed(y_new, surrogate_net).values.T))
-            y_embed = ad.constant(np.stack([targets[im.label] for im in batch], axis=1))
-            z_node = forward(batch, recognizer)
-            es = _edit_distances(split_grids(z_node.values, len(batch)), batch, dcfg.alphabet)
-            parts = filtered_str_loss_parts(z_node, y_embed, es, surrogate_net, lam)
-            _log_step(
-                logs,
-                epoch,
-                PHASE_RECOGNIZER,
-                iteration,
-                indices,
-                es,
-                parts.e_hat.values[0].tolist(),
-                parts.loss.values[0].tolist(),
-                parts.gate_open,
-            )
-            _descend(recognizer.params, parts.loss, state, cfg, cfg.eta_b)
+
+    def step(indices, rng):
+        batch = [images[index] for index in indices]
+        new = list(dict.fromkeys(im.label for im in batch if im.label not in targets))
+        if new:
+            y_new = [encode_one_hot(label, dcfg.alphabet, dcfg.capacity) for label in new]
+            targets.update(zip(new, embed(y_new, surrogate_net).values.T))
+        y_embed = ad.constant(np.stack([targets[im.label] for im in batch], axis=1))
+        z_node = forward(batch, recognizer)
+        es = _edit_distances(split_grids(z_node.values, len(batch)), batch, dcfg.alphabet)
+        parts = filtered_str_loss_parts(z_node, y_embed, es, surrogate_net, lam)
+        return parts.loss, (indices, es, parts.e_hat.values[0].tolist(), parts.gate_open)
+
+    _run_phase(
+        PHASE_RECOGNIZER, epoch, cfg.i_b, images, cfg,
+        recognizer.params, state, cfg.eta_b, step, logs,
+    )
 
 
 @dataclass
@@ -390,14 +375,21 @@ class PostTuningResult:
     logs: list[PhaseLogRecord]
 
 
-def _net_config(config_class, section: str, derived: dict, overrides: dict | None):
-    """config_class built from derived values, overridden by the keys of a
-    config file section."""
+def _dataset_fields(config_class, dcfg: DatasetConfig) -> dict:
+    """The fields of a net's config_class that dcfg's images and alphabet fix."""
+    sizes = {name: getattr(dcfg, name) for name in ("capacity", "image_height", "image_width")}
+    sizes["alphabet_size"] = len(dcfg.alphabet)
+    return {f.name: sizes[f.name] for f in fields(config_class) if f.name in sizes}
+
+
+def _net_config(config_class, section: str, dcfg: DatasetConfig, seed: int, overrides):
+    """config_class sized for dcfg and seeded with seed, overridden by the
+    keys of a config file section."""
     values = dict(overrides or {})
     reject_unknown_keys(section, values, [f.name for f in fields(config_class)])
     if isinstance(values.get("channels"), list):
         values["channels"] = tuple(values["channels"])
-    return config_class(**{**derived, **values})
+    return config_class(**{**_dataset_fields(config_class, dcfg), "seed": seed, **values})
 
 
 def build_recognizer(
@@ -405,14 +397,7 @@ def build_recognizer(
 ) -> RecognizerNet:
     """A fresh recognizer sized for dcfg's images and alphabet; overrides
     holds a config file's "recognizer" section."""
-    derived = dict(
-        alphabet_size=len(dcfg.alphabet),
-        capacity=dcfg.capacity,
-        image_height=dcfg.image_height,
-        image_width=dcfg.image_width,
-        seed=seed,
-    )
-    return RecognizerNet(_net_config(RecognizerConfig, "recognizer", derived, overrides))
+    return RecognizerNet(_net_config(RecognizerConfig, "recognizer", dcfg, seed, overrides))
 
 
 def build_surrogate(
@@ -420,8 +405,7 @@ def build_surrogate(
 ) -> SurrogateNet:
     """A fresh surrogate for dcfg's grids; overrides holds a config file's
     "surrogate" section."""
-    derived = dict(alphabet_size=len(dcfg.alphabet), capacity=dcfg.capacity, seed=seed)
-    return SurrogateNet(_net_config(SurrogateConfig, "surrogate", derived, overrides))
+    return SurrogateNet(_net_config(SurrogateConfig, "surrogate", dcfg, seed, overrides))
 
 
 def run_post_tuning(
@@ -439,6 +423,9 @@ def run_post_tuning(
     logs: list[PhaseLogRecord] = []
     state_a = OptimizerState(surrogate_net.params)
     state_b = OptimizerState(recognizer.params)
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
     for epoch in range(1, cfg.epochs + 1):
         train_surrogate_phase(
             split.train, recognizer, surrogate_net, cfg, dcfg, epoch, state_a, logs
@@ -447,8 +434,6 @@ def run_post_tuning(
             split.train, recognizer, surrogate_net, cfg, dcfg, epoch, state_b, logs
         )
         if out_dir is not None:
-            out_dir = Path(out_dir)
-            out_dir.mkdir(parents=True, exist_ok=True)
             save_recognizer(out_dir / f"recognizer_epoch{epoch}.bin", recognizer)
             save_surrogate(out_dir / f"surrogate_epoch{epoch}.bin", surrogate_net)
     return PostTuningResult(recognizer=recognizer, surrogate=surrogate_net, logs=logs)

@@ -219,23 +219,43 @@ def test_unknown_mode_is_rejected(tmp_path):
         main(["tune", "--mode", "unfiltered", "--out", str(tmp_path / "t")])
 
 
-def test_divergence_is_one_error_line_naming_the_step(tmp_path, capsys):
-    config = tmp_path / "diverge.json"
-    config.write_text(
-        json.dumps(
-            {
-                "seed": 1,
-                "dataset": {"corpus_size": 20},
-                "train": {"pretrain_iterations": 5, "batch_size": 2, "eta_pre": 1e300},
-            }
+@pytest.mark.parametrize(
+    "command,train,message",
+    [
+        pytest.param(
+            "train-baseline",
+            {"eta_pre": 1e300},
+            "pretrain phase diverged at epoch 0, iteration ",
+            id="pretrain",
         ),
+        pytest.param(
+            "tune",
+            {"eta_a": 1e300},
+            "surrogate phase diverged at epoch 1, iteration 1",
+            id="surrogate",
+        ),
+        # lsed keeps every gate open; under feds this rate closes them all
+        # and nothing diverges.
+        pytest.param(
+            "tune",
+            {"eta_b": 1e300, "mode": "lsed"},
+            "recognizer phase diverged at epoch 1, iteration 1",
+            id="recognizer",
+        ),
+    ],
+)
+def test_divergence_is_one_error_line_naming_the_step(tmp_path, capsys, command, train, message):
+    config = tmp_path / "diverge.json"
+    train = {"pretrain_iterations": 5, "batch_size": 2, "i_a": 3, "i_b": 3, "epochs": 1, **train}
+    config.write_text(
+        json.dumps({"seed": 1, "dataset": {"corpus_size": 20}, "train": train}),
         encoding="utf-8",
     )
-    code = main(["train-baseline", "--config", str(config), "--out", str(tmp_path / "b")])
+    code = main([command, "--config", str(config), "--out", str(tmp_path / "b")])
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert err.startswith("error: pretrain phase diverged at epoch 0, iteration ")
+    assert err.startswith(f"error: {message}")
 
 
 @pytest.mark.parametrize(
@@ -286,6 +306,13 @@ NAN, INF = float("nan"), float("inf")
         ("tune", "train", "eps", INF),
         ("tune", "recognizer", "channels", [8, 2.5]),
         ("tune", "surrogate", "slope", INF),
+        # sections that the command itself does not build
+        ("train-baseline", "surrogate", "slope", NAN),
+        ("gen-data", "surrogate", "slope", NAN),
+        ("gen-data", "train", "eta_a", NAN),
+        ("gen-data", "recognizer", "kernel", 2.5),
+        ("evaluate", "train", "batch_size", 2.5),
+        ("scatter", "dataset", "noise_std", INF),
     ],
 )
 def test_config_value_of_wrong_type_is_one_error_line(
@@ -295,7 +322,11 @@ def test_config_value_of_wrong_type_is_one_error_line(
     (config.setdefault(section, {}) if section else config)[key] = value
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")  # NaN and Infinity as Python's json writes them
-    code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    # evaluate and scatter fail on an absent input with another message, so
+    # these cases pass only if the config is checked first
+    extra = {"evaluate": ["--checkpoint", "absent.bin"], "scatter": ["--log", "absent.csv"]}
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+    code = main(argv + extra.get(command, []))
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -335,3 +366,30 @@ def test_malformed_checkpoint_is_one_error_line(tmp_path, capsys, name, shape):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith(f"error: tensor {name!r} ")
+
+
+@pytest.mark.parametrize("command", ["evaluate", "tune"])
+def test_checkpoint_sized_for_another_dataset_is_one_error_line(tmp_path, capsys, command):
+    path = tmp_path / "baseline.bin"
+    save_recognizer(
+        path,
+        RecognizerNet(
+            RecognizerConfig(alphabet_size=9, capacity=8, image_height=12, image_width=32)
+        ),
+    )
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "dataset": {"corpus_size": 20, "capacity": 4},
+                "train": {"i_a": 1, "i_b": 1, "epochs": 1, "batch_size": 2},
+            }
+        ),
+        encoding="utf-8",
+    )
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "o")]
+    code = main(argv + ["--checkpoint", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: checkpoint {path} has capacity 8, but the dataset has 4\n"
+    )

@@ -1,7 +1,10 @@
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
 from edsurrogate import autodiff as ad
+from edsurrogate import training
 from edsurrogate.errors import ConfigError
 from edsurrogate.params import ParamStore
 from edsurrogate.recognizer import RecognizerConfig, RecognizerNet, forward
@@ -26,6 +29,7 @@ from edsurrogate.training import (
     tune_recognizer_phase,
 )
 from edsurrogate.text_metrics import CharGrid, decode_greedy, edit_distance, encode_one_hot
+from perfbench.tracer import Tracer, summarize
 
 DCFG = DatasetConfig.desk(corpus_size=60)
 RCFG = RecognizerConfig(
@@ -291,6 +295,51 @@ def test_post_tuning_loop_accounting():
     )
     assert len(result.logs) == 2
     assert [r.phase for r in result.logs] == ["surrogate", "recognizer"]
+
+
+# --- the shared step loop ------------------------------------------------------
+
+def test_traced_phases_split_into_one_step_per_iteration():
+    # The tracer records public training functions only and splits each
+    # phase's span at its adadelta_step children, so the shared step loop
+    # must run inside the public phase calls without a span of its own.
+    split = split_corpus(sample_corpus(DCFG))
+    cfg = small_config(pretrain_iterations=3, i_a=2, i_b=3, epochs=2)
+    tracer = Tracer()
+    with tracer.recording("toy"):
+        recognizer = RecognizerNet(RCFG)
+        training.pretrain_recognizer(split.train, recognizer, cfg, DCFG)
+        training.run_post_tuning(cfg, DCFG, split, recognizer, SurrogateNet(SCFG))
+    steps = summarize(tracer.spans, "toy").steps
+    assert {phase: len(durations) for phase, durations in steps.items()} == {
+        "pretrain": cfg.pretrain_iterations,
+        "surrogate": cfg.epochs * cfg.i_a,
+        "tune": cfg.epochs * cfg.i_b,
+    }
+
+
+def test_each_phase_draws_its_indices_from_its_keyed_stream():
+    # Feds mode, so that no generated pair takes a batch position.
+    split = split_corpus(sample_corpus(DCFG))
+    cfg = small_config(pretrain_iterations=3, i_a=2, i_b=3, epochs=2, seed=4)
+    recognizer = RecognizerNet(RCFG)
+    logs = []
+    pretrain_recognizer(split.train, recognizer, cfg, DCFG, logs)
+    logs += run_post_tuning(cfg, DCFG, split, recognizer, SurrogateNet(SCFG)).logs
+    logged = defaultdict(list)
+    for record in logs:
+        logged[record.phase, record.epoch].append(record.sample_index)
+
+    def draws(epoch, stream, iterations):
+        rng = np.random.default_rng([cfg.seed, epoch, stream])
+        size, n = cfg.batch_size, len(split.train)
+        return [int(index) for _ in range(iterations) for index in rng.integers(0, n, size=size)]
+
+    expected = {("pretrain", 0): draws(0, 0, cfg.pretrain_iterations)}
+    for epoch in range(1, cfg.epochs + 1):
+        expected["surrogate", epoch] = draws(epoch, 1, cfg.i_a)
+        expected["recognizer", epoch] = draws(epoch, 2, cfg.i_b)
+    assert logged == expected
 
 
 def test_post_tuning_rejects_baseline_mode():
