@@ -4,6 +4,10 @@ Values are float64 numpy arrays and every node is immutable once created.
 The trick that makes second-order terms (gradient penalties) work: the
 backward pass *builds new graph nodes* out of the same primitives, so the
 returned gradients can be differentiated again with another `backward`.
+Only `create_graph` needs that graph. Any other `backward` is a freeing
+sweep: while it runs, a new node keeps its value but records no parents, so
+each VJP output is a bare leaf, and each adjoint is dropped once its node's
+VJP has used it. The gradient graph then never outlives the sweep.
 """
 
 from __future__ import annotations
@@ -15,6 +19,9 @@ import numpy as np
 from .errors import NumericError, ShapeError
 
 EPS_NORM = 1e-12
+
+# False while a backward without create_graph runs; read by DiffNode.
+_recording = True
 
 
 class DiffNode:
@@ -31,6 +38,8 @@ class DiffNode:
         if not math.isfinite(values.sum()) and not np.isfinite(values).all():
             raise NumericError(f"non-finite values produced by op {_op_name(vjp)!r}")
         values.setflags(write=False)
+        if not _recording:
+            vjp, parents, meta = None, (), None
         self.values = values
         self.vjp = vjp
         self.parents = parents
@@ -162,17 +171,28 @@ def abs_val(a):
     return DiffNode(np.abs(a.values), _vjp_abs_val, (a,))
 
 
-def matmul(a, b):
+def mul_const(a, factor):
+    """a times a fixed array that is never differentiated, such as a mask."""
+    return DiffNode(a.values * factor, _vjp_mul_const, (a,), meta=factor)
+
+
+def matmul(a, b, trans_a=False, trans_b=False):
+    """op(a) @ op(b), where op transposes its operand when its flag is set."""
     _require_2d(a, "matmul")
     _require_2d(b, "matmul")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dims {a.shape} @ {b.shape}")
-    return DiffNode(a.values @ b.values, _vjp_matmul, (a, b))
+    left = a.values.T if trans_a else a.values
+    right = b.values.T if trans_b else b.values
+    if left.shape[1] != right.shape[0]:
+        raise ShapeError(f"matmul: inner dims {left.shape} @ {right.shape}")
+    return DiffNode(left @ right, _vjp_matmul, (a, b), meta=(trans_a, trans_b))
 
 
-def transpose(a):
-    _require_2d(a, "transpose")
-    return DiffNode(a.values.T, _vjp_transpose, (a,))
+def add_bias(a, bias):
+    """a + bias, the (rows, 1) bias broadcast over the columns of 2-d a."""
+    _require_2d(a, "add_bias")
+    if bias.shape != (a.shape[0], 1):
+        raise ShapeError(f"add_bias: bias {bias.shape} vs {a.shape}")
+    return DiffNode(a.values + bias.values, _vjp_add_bias, (a, bias))
 
 
 def reshape(a, shape):
@@ -214,36 +234,66 @@ def _segment_width(a, segments, op):
     return a.shape[1] // segments
 
 
-def unfold_segments(a, kernel, segments):
-    """(C, S*w) -> (C*kernel, S*w) sliding windows, row-major taps.
+def _windows(x, kernel, segments):
+    """(C, S*w) array -> (C*kernel, S*w) sliding windows, row-major taps.
 
     The columns hold S segments of width w side by side; each segment is
     zero-padded by (kernel - 1) // 2 on both sides on its own, so windows
     never reach across a segment boundary.
     """
-    width = _segment_width(a, segments, "unfold_segments")
-    if kernel < 1 or kernel % 2 == 0:
-        raise ShapeError(f"unfold_segments: kernel {kernel} must be odd")
-    c, pad = a.shape[0], (kernel - 1) // 2
-    padded = np.zeros((c, segments, width + 2 * pad))
-    padded[:, :, pad : pad + width] = a.values.reshape(c, segments, width)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, kernel, axis=2)
-    values = np.ascontiguousarray(windows.transpose(0, 3, 1, 2)).reshape(c * kernel, -1)
-    return DiffNode(values, _vjp_unfold_segments, (a,), meta=(kernel, segments))
-
-
-def fold_segments(a, kernel, segments):
-    """Adjoint of unfold_segments: scatter-add windows back to (C, S*w)."""
-    width = _segment_width(a, segments, "fold_segments")
-    if kernel < 1 or kernel % 2 == 0 or a.shape[0] % kernel != 0:
-        raise ShapeError(f"fold_segments: shape {a.shape} with kernel {kernel}")
-    c, pad = a.shape[0] // kernel, (kernel - 1) // 2
-    cube = a.values.reshape(c, kernel, segments, width)
-    padded = np.zeros((c, segments, width + 2 * pad))
+    c, total = x.shape
+    width, pad = total // segments, (kernel - 1) // 2
+    cube = x.reshape(c, segments, width)
+    out = np.zeros((c, kernel, segments, width))
     for j in range(kernel):
-        padded[:, :, j : j + width] += cube[:, j]
-    values = padded[:, :, pad : pad + width].reshape(c, segments * width)
-    return DiffNode(values, _vjp_fold_segments, (a,), meta=(kernel, segments))
+        lo, hi = max(pad - j, 0), min(width + pad - j, width)
+        out[:, j, :, lo:hi] = cube[:, :, lo + j - pad : hi + j - pad]
+    return out.reshape(c * kernel, total)
+
+
+def _fold(columns, kernel, segments):
+    """Adjoint of _windows: scatter-add windows back to (C, S*w), each
+    column's taps summed in tap order onto zeros."""
+    rows, total = columns.shape
+    c, width, pad = rows // kernel, total // segments, (kernel - 1) // 2
+    cube = columns.reshape(c, kernel, segments, width)
+    out = np.zeros((c, segments, width))
+    for j in range(kernel):
+        lo, hi = max(j - pad, 0), min(width + j - pad, width)
+        out[:, :, lo:hi] += cube[:, j, :, lo + pad - j : hi + pad - j]
+    return out.reshape(c, total)
+
+
+def _check_conv(a, b, kernel, segments, op, fits):
+    """a splits into segments, kernel is odd and 2-d b passes fits(rows, cols)."""
+    _segment_width(a, segments, op)
+    if kernel < 1 or kernel % 2 == 0 or b.ndim != 2 or not fits(*b.shape):
+        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} with kernel {kernel}")
+
+
+def conv(x, taps, kernel, segments):
+    """taps @ windows(x): the same-padded convolution of x (C_in, S*w), each
+    of its S segments on its own, with taps (C_out, C_in*kernel)."""
+    _check_conv(x, taps, kernel, segments, "conv", lambda r, c: c == x.shape[0] * kernel)
+    values = taps.values @ _windows(x.values, kernel, segments)
+    return DiffNode(values, _vjp_conv, (x, taps), meta=(kernel, segments))
+
+
+def conv_input_grad(g, taps, kernel, segments):
+    """fold(taps^T @ g): conv's VJP in x, (C_out, S*w) -> (C_in, S*w)."""
+    _check_conv(
+        g, taps, kernel, segments, "conv_input_grad",
+        lambda r, c: r == g.shape[0] and c % kernel == 0,
+    )
+    values = _fold(taps.values.T @ g.values, kernel, segments)
+    return DiffNode(values, _vjp_conv_input_grad, (g, taps), meta=(kernel, segments))
+
+
+def conv_weight_grad(g, x, kernel, segments):
+    """g @ windows(x)^T: conv's VJP in taps, (C_out, S*w) -> (C_out, C_in*kernel)."""
+    _check_conv(g, x, kernel, segments, "conv_weight_grad", lambda r, c: c == g.shape[1])
+    values = g.values @ _windows(x.values, kernel, segments).T
+    return DiffNode(values, _vjp_conv_weight_grad, (g, x), meta=(kernel, segments))
 
 
 # ---------------------------------------------------------------------------
@@ -304,36 +354,41 @@ def _vjp_log(node, g, needed):
 
 def _vjp_leaky_relu(node, g, needed):
     (a,) = node.parents
-    mask = np.where(a.values > 0, 1.0, node.meta)
-    return (mul(g, DiffNode(mask)),)
+    return (mul_const(g, np.where(a.values > 0, 1.0, node.meta)),)
 
 
 def _vjp_clamp_min(node, g, needed):
     (a,) = node.parents
-    mask = (a.values > node.meta).astype(np.float64)
-    return (mul(g, DiffNode(mask)),)
+    return (mul_const(g, (a.values > node.meta).astype(np.float64)),)
 
 
 def _vjp_clip_max(node, g, needed):
     (a,) = node.parents
-    mask = (a.values < node.meta).astype(np.float64)
-    return (mul(g, DiffNode(mask)),)
+    return (mul_const(g, (a.values < node.meta).astype(np.float64)),)
 
 
 def _vjp_abs_val(node, g, needed):
     (a,) = node.parents
-    return (mul(g, DiffNode(np.sign(a.values))),)
+    return (mul_const(g, np.sign(a.values)),)
+
+
+def _vjp_mul_const(node, g, needed):
+    return (mul_const(g, node.meta),)
 
 
 def _vjp_matmul(node, g, needed):
     a, b = node.parents
-    ga = matmul(g, transpose(b)) if needed[0] else None
-    gb = matmul(transpose(a), g) if needed[1] else None
+    trans_a, trans_b = node.meta
+    ga = gb = None
+    if needed[0]:
+        ga = matmul(b, g, trans_b, True) if trans_a else matmul(g, b, False, not trans_b)
+    if needed[1]:
+        gb = matmul(g, a, True, trans_a) if trans_b else matmul(a, g, not trans_a, False)
     return (ga, gb)
 
 
-def _vjp_transpose(node, g, needed):
-    return (transpose(g),)
+def _vjp_add_bias(node, g, needed):
+    return (g if needed[0] else None, sum_axis(g, 1) if needed[1] else None)
 
 
 def _vjp_reshape(node, g, needed):
@@ -358,12 +413,28 @@ def _vjp_tile_axis(node, g, needed):
     return (sum_axis(g, node.meta),)
 
 
-def _vjp_unfold_segments(node, g, needed):
-    return (fold_segments(g, *node.meta),)
+def _vjp_conv(node, g, needed):
+    x, taps = node.parents
+    return (
+        conv_input_grad(g, taps, *node.meta) if needed[0] else None,
+        conv_weight_grad(g, x, *node.meta) if needed[1] else None,
+    )
 
 
-def _vjp_fold_segments(node, g, needed):
-    return (unfold_segments(g, *node.meta),)
+def _vjp_conv_input_grad(node, g, needed):
+    out_grad, taps = node.parents
+    return (
+        conv(g, taps, *node.meta) if needed[0] else None,
+        conv_weight_grad(out_grad, g, *node.meta) if needed[1] else None,
+    )
+
+
+def _vjp_conv_weight_grad(node, g, needed):
+    out_grad, x = node.parents
+    return (
+        conv(x, g, *node.meta) if needed[0] else None,
+        conv_input_grad(out_grad, g, *node.meta) if needed[1] else None,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +457,7 @@ def softmax_columns(a):
 
 def linear(weight, x, bias):
     """weight @ x + bias, the (rows, 1) bias broadcast over the columns."""
-    out = matmul(weight, x)
-    if bias.shape != (out.shape[0], 1):
-        raise ShapeError(f"linear: bias {bias.shape} vs output {out.shape}")
-    return add(out, tile_axis(bias, 1, out.shape[1]))
+    return add_bias(matmul(weight, x), bias)
 
 
 def conv1d(x, weight, bias=None, segments=1):
@@ -405,11 +473,9 @@ def conv1d(x, weight, bias=None, segments=1):
     c_out, c_in, kernel = weight.shape
     if c_in != x.shape[0]:
         raise ShapeError(f"conv1d: input channels {x.shape[0]} vs weight {c_in}")
-    columns = unfold_segments(x, kernel, segments)
-    out = matmul(reshape(weight, (c_out, c_in * kernel)), columns)
-    if bias is not None:
-        out = add(out, tile_axis(bias, 1, out.shape[1]))
-    return out
+    # One reshape node, so weight-gradient contributions are summed before reshaping.
+    out = conv(x, reshape(weight, (c_out, c_in * kernel)), kernel, segments)
+    return out if bias is None else add_bias(out, bias)
 
 
 def segment_sum(a, segments):
@@ -452,9 +518,11 @@ def backward(root, wrt, create_graph=False):
     """Gradients of a scalar root w.r.t. each node in `wrt`.
 
     With create_graph the returned gradients are ordinary graph nodes,
-    so they can be fed into another `backward`. Nodes unreachable from
-    the root get an exact zero gradient.
+    so they can be fed into another `backward`; without it they are bare
+    leaves (see the module docstring). Nodes unreachable from the root get
+    an exact zero gradient.
     """
+    global _recording
     if root.shape != ():
         raise ShapeError(f"backward root must be scalar, got shape {root.shape}")
     wrt = list(wrt)
@@ -473,27 +541,28 @@ def backward(root, wrt, create_graph=False):
                 active.add(id(node))
                 break
 
+    wanted = {id(node) for node in wrt}
     adjoints = {id(root): DiffNode(np.float64(1.0))}
-    for node in reversed(order):
-        nid = id(node)
-        grad = adjoints.get(nid)
-        if grad is None or nid not in active or not node.parents:
-            continue
-        needed = tuple(id(p) in active for p in node.parents)
-        contributions = node.vjp(node, grad, needed)
-        for parent, contribution in zip(node.parents, contributions):
-            if contribution is None or id(parent) not in active:
+    previous, _recording = _recording, create_graph
+    try:
+        for node in reversed(order):
+            nid = id(node)
+            if nid not in active or not node.parents:
                 continue
-            pid = id(parent)
-            seen = adjoints.get(pid)
-            adjoints[pid] = contribution if seen is None else add(seen, contribution)
-
-    results = []
-    for node in wrt:
-        grad = adjoints.get(id(node))
-        if grad is None:
-            grad = DiffNode(np.zeros(node.shape))
-        elif not create_graph:
-            grad = grad.detach()
-        results.append(grad)
-    return results
+            grad = adjoints.get(nid) if nid in wanted else adjoints.pop(nid, None)
+            if grad is None:
+                continue
+            needed = tuple(id(p) in active for p in node.parents)
+            contributions = node.vjp(node, grad, needed)
+            for parent, contribution in zip(node.parents, contributions):
+                if contribution is None or id(parent) not in active:
+                    continue
+                pid = id(parent)
+                seen = adjoints.get(pid)
+                adjoints[pid] = contribution if seen is None else add(seen, contribution)
+    finally:
+        _recording = previous
+    return [
+        adjoints[id(node)] if id(node) in adjoints else DiffNode(np.zeros(node.shape))
+        for node in wrt
+    ]

@@ -110,10 +110,33 @@ def test_matmul_gradients_both_sides():
     fd_check(lambda b: ad.sum_all(ad.square(ad.matmul(a_const, b))), RNG.random((4, 2)))
 
 
+TRANSPOSE_FLAGS = [(False, False), (False, True), (True, False), (True, True)]
+
+
+@pytest.mark.parametrize("trans_a,trans_b", TRANSPOSE_FLAGS)
+def test_matmul_transpose_flag_gradients(trans_a, trans_b):
+    a0 = RNG.standard_normal((4, 3) if trans_a else (3, 4))
+    b0 = RNG.standard_normal((2, 4) if trans_b else (4, 2))
+    b_const, a_const = ad.constant(b0), ad.constant(a0)
+    fd_check(lambda a: ad.sum_all(ad.square(ad.matmul(a, b_const, trans_a, trans_b))), a0)
+    fd_check(lambda b: ad.sum_all(ad.square(ad.matmul(a_const, b, trans_a, trans_b))), b0)
+
+    # Second order: s(a) = || d/db sum(square(op(a) @ op(b))) ||.
+    def s_of(a_values):
+        a, b = ad.variable(a_values), ad.variable(b0)
+        f = ad.sum_all(ad.square(ad.matmul(a, b, trans_a, trans_b)))
+        (grad_b,) = ad.backward(f, [b], create_graph=True)
+        return a, ad.l2_norm_eps(grad_b)
+
+    a_leaf, s = s_of(a0)
+    (analytic,) = ad.backward(s, [a_leaf])
+    numeric = finite_difference_gradient(lambda v: s_of(v)[1].item(), a0)
+    assert_gradients_close(analytic.values, numeric, abs_tol=1e-7, rel_tol=1e-4)
+
+
 def test_shape_op_gradients():
     weights = ad.constant(RNG.random((2, 6)))
     fd_check(lambda x: ad.sum_all(ad.mul(ad.reshape(x, (2, 6)), weights)), RNG.random((3, 4)))
-    fd_check(lambda x: ad.sum_all(ad.square(ad.transpose(x))), RNG.random((3, 4)))
     fd_check(lambda x: ad.sum_all(ad.square(ad.segment_sum(x, 2))), RNG.random((3, 4)))
     fd_check(lambda x: ad.square(ad.sum_all(x)), RNG.random((2, 3)))
     fd_check(
@@ -126,15 +149,29 @@ def test_shape_op_gradients():
     )
 
 
-def test_unfold_fold_gradients():
-    r = ad.constant(RNG.random((6, 6)))
-    fd_check(lambda x: ad.sum_all(ad.mul(ad.unfold_segments(x, 3, 2), r)), RNG.random((2, 6)))
-    r2 = ad.constant(RNG.random((2, 6)))
-    fd_check(lambda x: ad.sum_all(ad.mul(ad.fold_segments(x, 3, 2), r2)), RNG.random((6, 6)))
+# Each conv primitive with the shapes of its two operands and its output,
+# for kernel 3, 2 segments of width 3, 2 input and 3 output channels: x is
+# (2, 6), an output gradient g is (3, 6) and the taps are (3, 2 * 3).
+CONV_PRIMITIVES = {
+    "conv": (ad.conv, (2, 6), (3, 6), (3, 6)),
+    "input_grad": (ad.conv_input_grad, (3, 6), (3, 6), (2, 6)),
+    "weight_grad": (ad.conv_weight_grad, (3, 6), (2, 6), (3, 6)),
+}
+
+
+@pytest.mark.parametrize("name", CONV_PRIMITIVES)
+def test_conv_primitive_gradients(name):
+    op, first, second, out = CONV_PRIMITIVES[name]
+    r = ad.constant(RNG.random(out))
+    b = ad.constant(RNG.standard_normal(second))
+    fd_check(lambda a: ad.sum_all(ad.mul(op(a, b, 3, 2), r)), RNG.standard_normal(first))
+    a = ad.constant(RNG.standard_normal(first))
+    fd_check(lambda b: ad.sum_all(ad.mul(op(a, b, 3, 2), r)), RNG.standard_normal(second))
 
 
 def _padded_windows_oracle(x, kernel, segments):
-    """unfold_segments by explicit loops over segments, channels and taps."""
+    """Sliding windows of each zero-padded segment, by explicit loops over
+    segments, channels and taps: row ch * kernel + j holds tap j of channel ch."""
     c, total = x.shape
     width, pad = total // segments, (kernel - 1) // 2
     out = np.zeros((c * kernel, total))
@@ -147,55 +184,72 @@ def _padded_windows_oracle(x, kernel, segments):
     return out
 
 
+def _fold_oracle(columns, kernel, segments):
+    """Adjoint of the windows: a loop scatter-add onto each zero-padded
+    segment, taps added in order."""
+    rows, total = columns.shape
+    c, width, pad = rows // kernel, total // segments, (kernel - 1) // 2
+    out = np.zeros((c, total))
+    for s in range(segments):
+        block = np.zeros((c, width + 2 * pad))
+        for ch in range(c):
+            for j in range(kernel):
+                block[ch, j : j + width] += columns[ch * kernel + j, s * width : (s + 1) * width]
+        out[:, s * width : (s + 1) * width] = block[:, pad : pad + width]
+    return out
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     channels=st.integers(1, 3),
+    outputs=st.integers(1, 3),
     segments=st.integers(1, 4),
     width=st.integers(1, 5),
     kernel=st.sampled_from([1, 3, 5]),
     seed=st.integers(0, 2**16),
 )
-def test_segment_pair_matches_oracle_and_is_adjoint(channels, segments, width, kernel, seed):
+def test_conv_primitives_match_oracle_and_are_adjoint(
+    channels, outputs, segments, width, kernel, seed
+):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((channels, segments * width))
-    g = rng.standard_normal((channels * kernel, segments * width))
-    unfolded = ad.unfold_segments(ad.constant(x), kernel, segments).values
-    folded = ad.fold_segments(ad.constant(g), kernel, segments).values
-    assert np.array_equal(unfolded, _padded_windows_oracle(x, kernel, segments))
-    # <unfold(x), g> = <x, fold(g)>
-    assert np.sum(unfolded * g) == pytest.approx(np.sum(x * folded), rel=1e-12, abs=1e-12)
+    g = rng.standard_normal((outputs, segments * width))
+    taps = rng.standard_normal((outputs, channels * kernel))
+    out = ad.conv(ad.constant(x), ad.constant(taps), kernel, segments).values
+    x_grad = ad.conv_input_grad(ad.constant(g), ad.constant(taps), kernel, segments).values
+    taps_grad = ad.conv_weight_grad(ad.constant(g), ad.constant(x), kernel, segments).values
+    windows = _padded_windows_oracle(x, kernel, segments)
+    assert np.array_equal(out, taps @ windows)
+    assert np.array_equal(x_grad, _fold_oracle(taps.T @ g, kernel, segments))
+    assert np.array_equal(taps_grad, g @ windows.T)
+    # <conv(x, T), g> = <x, conv_input_grad(g, T)> = <T, conv_weight_grad(g, x)>
+    assert np.sum(out * g) == pytest.approx(np.sum(x * x_grad), rel=1e-12, abs=1e-12)
+    assert np.sum(out * g) == pytest.approx(np.sum(taps * taps_grad), rel=1e-12, abs=1e-12)
 
 
-def test_segment_pair_rejects_bad_shapes():
-    with pytest.raises(ShapeError):
-        ad.unfold_segments(ad.constant(np.ones((2, 5))), 3, 2)
-    with pytest.raises(ShapeError):
-        ad.unfold_segments(ad.constant(np.ones((2, 6))), 2, 2)
-    with pytest.raises(ShapeError):
-        ad.fold_segments(ad.constant(np.ones((5, 6))), 3, 2)
+def test_conv1d_rejects_bad_shapes():
+    weight = ad.constant(np.ones((1, 2, 3)))
+    with pytest.raises(ShapeError):  # 5 columns do not split into 2 segments
+        ad.conv1d(ad.constant(np.ones((2, 5))), weight, segments=2)
+    with pytest.raises(ShapeError):  # even kernel
+        ad.conv1d(ad.constant(np.ones((2, 6))), ad.constant(np.ones((1, 2, 2))), segments=2)
+    with pytest.raises(ShapeError):  # 5 window rows do not split into 3 taps
+        ad.conv_input_grad(ad.constant(np.ones((1, 6))), ad.constant(np.ones((1, 5))), 3, 2)
 
 
-@pytest.mark.parametrize("op", ["unfold", "fold"])
-def test_segment_pair_second_order_matches_fd(op):
-    # s(w) = || d/dx sum(square(T(w * x))) || with T one of the pair, so the
-    # create_graph backward runs through T's VJP and is differentiated again.
-    if op == "unfold":
-        w0, x0 = RNG.standard_normal((2, 6)), RNG.standard_normal((2, 6))
-
-        def transform(a):
-            return ad.unfold_segments(a, 3, 2)
-    else:
-        w0, x0 = RNG.standard_normal((6, 6)), RNG.standard_normal((6, 6))
-
-        def transform(a):
-            return ad.fold_segments(a, 3, 2)
+@pytest.mark.parametrize("name", CONV_PRIMITIVES)
+def test_conv_primitive_second_order_matches_fd(name):
+    # s(w) = || d/d(a, b) sum(square(P(w * a, b))) || with P the primitive,
+    # so the create_graph backward runs through P's VJPs (the other two
+    # primitives) in both operands and is differentiated again.
+    op, first, second, _ = CONV_PRIMITIVES[name]
+    w0, a0, b0 = (RNG.standard_normal(shape) for shape in (first, first, second))
 
     def s_of(w_values):
-        w = ad.variable(w_values)
-        x = ad.variable(x0)
-        f = ad.sum_all(ad.square(transform(ad.mul(w, x))))
-        (grad_x,) = ad.backward(f, [x], create_graph=True)
-        return w, ad.l2_norm_eps(grad_x)
+        w, a, b = ad.variable(w_values), ad.variable(a0), ad.variable(b0)
+        f = ad.sum_all(ad.square(op(ad.mul(w, a), b, 3, 2)))
+        grad_a, grad_b = ad.backward(f, [a, b], create_graph=True)
+        return w, ad.add(ad.l2_norm_eps(grad_a), ad.l2_norm_eps(grad_b))
 
     w_leaf, s = s_of(w0)
     (analytic,) = ad.backward(s, [w_leaf])
@@ -315,6 +369,36 @@ def test_gradient_accumulation_is_linear():
     (grad_f,) = ad.backward(f, [x])
     (grad_g,) = ad.backward(g, [x])
     assert np.allclose(grad_sum.values, grad_f.values + grad_g.values)
+
+
+def test_backward_without_create_graph_returns_bare_leaves():
+    x = ad.variable(RNG.random((2, 3)))
+    root = ad.sum_all(ad.square(ad.leaky_relu(x)))
+    (graphed,) = ad.backward(root, [x], create_graph=True)
+    (bare,) = ad.backward(root, [x])
+    assert graphed.parents
+    assert bare.parents == () and bare.vjp is None
+    assert bare.values.tobytes() == graphed.values.tobytes()
+
+
+def test_numeric_error_in_a_freeing_sweep_names_its_op():
+    # 1 / x is finite at x = 1e-200, but its derivative -1 / x^2 overflows.
+    x = ad.variable([1e-200])
+    root = ad.sum_all(ad.div(ad.constant([1.0]), x))
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="op 'div'"):
+        ad.backward(root, [x])
+
+
+def test_failed_freeing_sweep_restores_graph_recording():
+    x = ad.variable([1e-200])
+    with np.errstate(over="ignore"), pytest.raises(NumericError):
+        ad.backward(ad.sum_all(ad.div(ad.constant([1.0]), x)), [x])
+    y = ad.variable(3.0)
+    assert ad.square(y).parents == (y,)
+    (first,) = ad.backward(ad.square(y), [y], create_graph=True)
+    assert first.parents
+    (second,) = ad.backward(first, [y])
+    assert second.item() == pytest.approx(2.0)
 
 
 def test_fan_out_accumulates_both_paths():

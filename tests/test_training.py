@@ -342,6 +342,36 @@ def test_each_phase_draws_its_indices_from_its_keyed_stream():
     assert logged == expected
 
 
+# Graph nodes one desk-size feds step may build, cold caches included, so
+# that a change cannot quietly grow the graph again.
+SURROGATE_STEP_NODES = 302
+TUNE_STEP_NODES = 152
+
+
+def test_desk_steps_stay_within_their_graph_budget(monkeypatch):
+    split = split_corpus(sample_corpus(DCFG))
+    cfg = TrainConfig.desk(i_a=1, i_b=1, mode="feds")
+    recognizer, surrogate_net = build_recognizer(DCFG, 0), build_surrogate(DCFG, 0)
+    built = [0]
+    init = ad.DiffNode.__init__
+
+    def counting_init(node, *args, **kwargs):
+        built[0] += 1
+        init(node, *args, **kwargs)
+
+    monkeypatch.setattr(ad.DiffNode, "__init__", counting_init)
+    counts = []
+    for phase, net in (
+        (train_surrogate_phase, surrogate_net),
+        (tune_recognizer_phase, recognizer),
+    ):
+        built[0] = 0
+        phase(split.train, recognizer, surrogate_net, cfg, DCFG, 1, OptimizerState(net.params), [])
+        counts.append(built[0])
+    assert counts[0] <= SURROGATE_STEP_NODES
+    assert counts[1] <= TUNE_STEP_NODES
+
+
 def test_post_tuning_rejects_baseline_mode():
     # Pretraining is the baseline; no post-tuning config can name it.
     with pytest.raises(ConfigError, match="mode must be one of"):
