@@ -84,41 +84,28 @@ def run_experiment(
     return ExperimentRun(baseline, tuned, result)
 
 
-def _read_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+def _configs(args) -> tuple[dict, DatasetConfig, TrainConfig]:
+    """The config file's contents, and the dataset and train configs: each
+    desk preset overridden in turn by the file's seed, its section and the
+    command's flags. Both net sections are built too, whichever the command
+    reads, so that any command reports a misspelled key or a bad value."""
+    data = {} if args.config is None else json.loads(Path(args.config).read_text(encoding="utf-8"))
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
     reject_unknown_keys("config", data, ("seed", *_SECTIONS))
     for name in _SECTIONS:
         if not isinstance(data.get(name, {}), dict):
             raise ConfigError(f"config section {name!r} must be a JSON object")
-    # Every section's config is built, whichever the command reads, so that
-    # any command reports a misspelled key or a bad value.
-    dcfg = _dataset_config(data)
-    _train_config(data)
+
+    def layered(section: str, *flags: str) -> dict:
+        given = {name: v for name in flags if (v := getattr(args, name, None)) is not None}
+        return {"seed": data.get("seed", 0), **data.get(section, {}), **given}
+
+    dcfg = DatasetConfig.desk(**layered("dataset", "seed"))
+    cfg = TrainConfig.desk(**layered("train", "seed", "mode", "epochs", "lam"))
     for config_class, name in ((RecognizerConfig, "recognizer"), (SurrogateConfig, "surrogate")):
         _net_config(config_class, name, dcfg, dcfg.seed, data.get(name))
-    return data
-
-
-def _layered(preset: dict, file_cfg: dict, section: str, flags: dict) -> dict:
-    """The desk preset, overridden in turn by the config file's seed, its
-    section and the flags given on the command line."""
-    values = {**preset, "seed": file_cfg.get("seed", 0), **file_cfg.get(section, {})}
-    values.update({name: flag for name, flag in flags.items() if flag is not None})
-    return values
-
-
-def _dataset_config(file_cfg: dict, args=None) -> DatasetConfig:
-    preset, flags = DatasetConfig.desk().to_dict(), {"seed": getattr(args, "seed", None)}
-    return DatasetConfig.from_dict(_layered(preset, file_cfg, "dataset", flags))
-
-
-def _train_config(file_cfg: dict, args=None) -> TrainConfig:
-    flags = {name: getattr(args, name, None) for name in ("seed", "mode", "epochs", "lam")}
-    return TrainConfig.from_dict(_layered(TrainConfig.desk().to_dict(), file_cfg, "train", flags))
+    return data, dcfg, cfg
 
 
 def _load_recognizer(path: str, dcfg: DatasetConfig) -> RecognizerNet:
@@ -143,8 +130,7 @@ def _write_summary(out: Path, summary: str) -> None:
 
 
 def _cmd_gen_data(args) -> int:
-    file_cfg = _read_config(args.config)
-    dcfg = _dataset_config(file_cfg, args)
+    _, dcfg, _ = _configs(args)
     images = sample_corpus(dcfg)
     out = _out_dir(args)
     save_dataset(out, images, dcfg)
@@ -153,9 +139,7 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train_baseline(args) -> int:
-    file_cfg = _read_config(args.config)
-    dcfg = _dataset_config(file_cfg, args)
-    cfg = _train_config(file_cfg, args)
+    file_cfg, dcfg, cfg = _configs(args)
     split = split_corpus(sample_corpus(dcfg))
     logs: list[PhaseLogRecord] = []
     net = build_recognizer(dcfg, cfg.seed, file_cfg.get("recognizer"))
@@ -170,9 +154,7 @@ def _cmd_train_baseline(args) -> int:
 
 
 def _cmd_tune(args) -> int:
-    file_cfg = _read_config(args.config)
-    dcfg = _dataset_config(file_cfg, args)
-    cfg = _train_config(file_cfg, args)
+    file_cfg, dcfg, cfg = _configs(args)
     split = split_corpus(sample_corpus(dcfg))
     net = None if args.checkpoint is None else _load_recognizer(args.checkpoint, dcfg)
     out = _out_dir(args)
@@ -186,8 +168,7 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    file_cfg = _read_config(args.config)
-    dcfg = _dataset_config(file_cfg, args)
+    _, dcfg, _ = _configs(args)
     net = _load_recognizer(args.checkpoint, dcfg)
     split = split_corpus(sample_corpus(dcfg))
     images = getattr(split, args.split)
@@ -199,8 +180,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_scatter(args) -> int:
-    file_cfg = _read_config(args.config)
-    cfg = _train_config(file_cfg, args)
+    _, _, cfg = _configs(args)
     logs = read_log_csv(args.log)
     if not logs:
         raise ValueError(f"{args.log} holds no log records")

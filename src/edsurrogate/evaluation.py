@@ -67,23 +67,32 @@ def write_metrics_csv(path, report: MetricsReport) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _read_lines(path, header: str, skip: int = 0) -> list[str]:
-    """The file's lines, after checking that line `skip` is `header`."""
+def _read_rows(path, header: str, parse, skip: int = 0) -> tuple[list[str], list]:
+    """The `skip` lines before the file's header line, and parse(*fields) of
+    each row after it. A row that does not parse raises ValueError naming
+    path:line."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if len(lines) <= skip:
         raise ValueError(f"{path}: no header line, expected {header!r}")
     if lines[skip] != header:
         raise ValueError(f"{path}: unexpected header {lines[skip]!r}")
-    return lines
+    width, rows = header.count(",") + 1, []
+    for number, line in enumerate(lines[skip + 1 :], start=skip + 2):
+        values = line.split(",")
+        try:
+            if len(values) != width:
+                raise ValueError(f"expected {width} fields, got {len(values)}")
+            rows.append(parse(*values))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{number}: {exc}") from None
+    return lines[:skip], rows
 
 
 def read_metrics_csv(path) -> list[tuple[int, str, str, int]]:
-    lines = _read_lines(path, METRICS_HEADER)
-    rows = []
-    for line in lines[1:]:
-        index, gt, pred, ed = line.split(",")
-        rows.append((int(index), gt, pred, int(ed)))
-    return rows
+    def parse(index, gt, pred, ed):
+        return int(index), gt, pred, int(ed)
+
+    return _read_rows(path, METRICS_HEADER, parse)[1]
 
 
 def write_log_csv(path, records: list[PhaseLogRecord]) -> None:
@@ -97,23 +106,19 @@ def write_log_csv(path, records: list[PhaseLogRecord]) -> None:
 
 
 def read_log_csv(path) -> list[PhaseLogRecord]:
-    lines = _read_lines(path, LOG_HEADER)
-    records = []
-    for line in lines[1:]:
-        epoch, phase, iteration, sample_index, e, e_hat, loss, gate = line.split(",")
-        records.append(
-            PhaseLogRecord(
-                epoch=int(epoch),
-                phase=phase,
-                iteration=int(iteration),
-                sample_index=int(sample_index),
-                e=int(e),
-                e_hat=float(e_hat),
-                loss=float(loss),
-                gate_open=bool(int(gate)),
-            )
+    def parse(epoch, phase, iteration, sample_index, e, e_hat, loss, gate):
+        return PhaseLogRecord(
+            epoch=int(epoch),
+            phase=phase,
+            iteration=int(iteration),
+            sample_index=int(sample_index),
+            e=int(e),
+            e_hat=float(e_hat),
+            loss=float(loss),
+            gate_open=bool(int(gate)),
         )
-    return records
+
+    return _read_rows(path, LOG_HEADER, parse)[1]
 
 
 def scatter_rows(
@@ -144,15 +149,13 @@ def export_scatter(
 
 
 def read_scatter_csv(path) -> tuple[float, list[tuple[int, float, int]]]:
-    lines = _read_lines(path, SCATTER_HEADER, skip=1)
-    if not lines[0].startswith("# lambda="):
-        raise ValueError("missing lambda metadata line")
-    lam = float(lines[0].split("=", 1)[1])
-    rows = []
-    for line in lines[2:]:
-        e, e_hat, iteration = line.split(",")
-        rows.append((int(e), float(e_hat), int(iteration)))
-    return lam, rows
+    def parse(e, e_hat, iteration):
+        return int(e), float(e_hat), int(iteration)
+
+    (meta,), rows = _read_rows(path, SCATTER_HEADER, parse, skip=1)
+    if not meta.startswith("# lambda="):
+        raise ValueError(f"{path}:1: missing lambda metadata line")
+    return float(meta.split("=", 1)[1]), rows
 
 
 def in_band_fraction(

@@ -58,19 +58,6 @@ class SurrogateConfig:
             raise ConfigError("kernel must be odd so same-padding is exact")
 
 
-@dataclass(frozen=True)
-class SurrogateLossWeights:
-    w1: float = 1.0
-    w2: float = 0.1
-
-    def __post_init__(self):
-        check_field_types("train", self)
-        if not self.w1 > 0:
-            raise ConfigError("w1 must be > 0")
-        if not self.w2 >= 0:
-            raise ConfigError("w2 must be >= 0")
-
-
 class SurrogateNet:
     """Five conv1d layers + two FC layers over CharGrid inputs."""
 
@@ -153,7 +140,7 @@ class SurrogateLossParts:
 
 
 def surrogate_loss_parts(
-    z_hat, y_hat, e: Sequence[int], net: SurrogateNet, weights: SurrogateLossWeights
+    z_hat, y_hat, e: Sequence[int], net: SurrogateNet, w1: float, w2: float
 ) -> SurrogateLossParts:
     """(1, B) rows of the loss w1*(e_hat - e)^2 + w2*(||d e_hat/d z||_2 - 1)^2
     and its pieces, for B distances e and the sequences of B predicted grids
@@ -172,12 +159,12 @@ def surrogate_loss_parts(
     e_row = ad.constant(np.reshape(np.asarray(e, dtype=np.float64), (1, len(e))))
     e_hat = distance_row(z_node, embed(y_hat, net), net)
     fit = ad.square(ad.sub(e_hat, e_row))
-    loss = ad.mul_scalar(fit, weights.w1)
+    loss = ad.mul_scalar(fit, w1)
     penalty = None
-    if weights.w2 > 0:
+    if w2 > 0:
         (grad_z,) = ad.backward(ad.sum_all(e_hat), [z_node], create_graph=True)
         penalty = ad.square(ad.add_scalar(ad.segment_norms(grad_z, len(e)), -1.0))
-        loss = ad.add(loss, ad.mul_scalar(penalty, weights.w2))
+        loss = ad.add(loss, ad.mul_scalar(penalty, w2))
     return SurrogateLossParts(loss=loss, e_hat=e_hat, fit=fit, penalty=penalty)
 
 

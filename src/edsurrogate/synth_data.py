@@ -39,8 +39,8 @@ class DatasetConfig:
 
     def __post_init__(self):
         check_field_types("dataset", self)
-        if self.capacity < 1 or self.corpus_size < 1:
-            raise ConfigError("capacity and corpus_size must be positive")
+        if self.capacity < 1 or self.corpus_size < 1 or self.glyph_width < 1:
+            raise ConfigError("capacity, corpus_size and glyph_width must be positive")
         if self.image_width < self.capacity * self.glyph_width:
             raise ConfigError("image width must fit capacity * glyph_width")
         if self.image_width % self.capacity != 0:
@@ -56,8 +56,9 @@ class DatasetConfig:
         return self.image_width // self.capacity
 
     @classmethod
-    def desk(cls, **overrides) -> "DatasetConfig":
-        return cls(alphabet=Alphabet.from_string("_abcdefgh"), **overrides)
+    def desk(cls, /, **overrides) -> "DatasetConfig":
+        """The desk preset; overrides are from_dict's keys, the alphabet a string."""
+        return cls.from_dict({"alphabet": "_abcdefgh", **overrides})
 
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}

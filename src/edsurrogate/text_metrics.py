@@ -24,15 +24,13 @@ class Alphabet:
     """Ordered character set with a reserved padding symbol at row 0."""
 
     symbols: tuple[str, ...]
-    pad_index: int = 0
+    pad_index = 0  # a class constant, not a field: glyphs and grids assume row 0
 
     def __post_init__(self):
         if len(self.symbols) < 2:
             raise EncodingError("alphabet needs at least 2 symbols")
         if len(set(self.symbols)) != len(self.symbols):
             raise EncodingError("alphabet symbols must be unique")
-        if not 0 <= self.pad_index < len(self.symbols):
-            raise EncodingError("pad_index out of range")
         object.__setattr__(
             self, "_index", {c: i for i, c in enumerate(self.symbols)}
         )

@@ -16,7 +16,7 @@ supplies only a step that builds one graph for its minibatch's (1, B) losses.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +36,6 @@ from .recognizer import (
 )
 from .surrogate import (
     SurrogateConfig,
-    SurrogateLossWeights,
     SurrogateNet,
     distance_row,
     embed,
@@ -55,6 +54,9 @@ GATE_MODES = ("gated", "literal")
 
 GENERATED_SAMPLE_INDEX = -1
 
+ADADELTA_RHO = 0.95  # decay of both running averages
+ADADELTA_EPS = 1e-6
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -67,10 +69,9 @@ class TrainConfig:
     lam: float = 0.25
     batch_size: int = 32
     mode: str = "feds"
-    rho: float = 0.95
-    eps: float = 1e-6
     pretrain_iterations: int = 2000
-    weights: SurrogateLossWeights = field(default_factory=SurrogateLossWeights)
+    w1: float = 1.0  # surrogate loss weights: fit term, gradient-norm penalty
+    w2: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
@@ -85,44 +86,24 @@ class TrainConfig:
             raise ConfigError("learning rates must be positive")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
-        if not (0 <= self.rho < 1 and self.eps > 0):
-            raise ConfigError("rho must lie in [0, 1) and eps must be positive")
+        if not self.w1 > 0:
+            raise ConfigError("w1 must be > 0")
+        if not self.w2 >= 0:
+            raise ConfigError("w2 must be >= 0")
 
     @classmethod
-    def desk(cls, **overrides) -> "TrainConfig":
+    def desk(cls, /, **overrides) -> "TrainConfig":
         """Settings sized for a single CPU core.
 
         Short surrogate phases keep the approximation visibly improving
         across epochs instead of converging inside the first one; the light
         pretrain budget leaves the recognizer headroom that tuning can still
         claim; and the damped tuning rate keeps early, poorly gated updates
-        from undoing the baseline.
+        from undoing the baseline. An unknown key raises ConfigError.
         """
-        desk = dict(
-            i_a=100,
-            i_b=100,
-            epochs=5,
-            eta_b=0.5,
-            batch_size=16,
-            pretrain_iterations=800,
-        )
-        desk.update(overrides)
-        return cls(**desk)
-
-    def to_dict(self) -> dict:
-        """Flat dict: every field, with the loss weights as w1 and w2."""
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "weights"}
-        out.update(asdict(self.weights))
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrainConfig":
-        data = dict(data)
-        weight_names = [f.name for f in fields(SurrogateLossWeights)]
-        known = [f.name for f in fields(cls) if f.name != "weights"] + weight_names
-        reject_unknown_keys("train", data, known)
-        weights = {name: data.pop(name) for name in weight_names if name in data}
-        return cls(weights=SurrogateLossWeights(**weights), **data)
+        reject_unknown_keys("train", overrides, [f.name for f in fields(cls)])
+        desk = dict(i_a=100, i_b=100, epochs=5, eta_b=0.5, batch_size=16, pretrain_iterations=800)
+        return cls(**{**desk, **overrides})
 
 
 @dataclass(frozen=True)
@@ -195,13 +176,9 @@ class OptimizerState:
 
 
 def adadelta_step(
-    params: ParamStore,
-    grads: dict[str, np.ndarray],
-    state: OptimizerState,
-    rho: float = 0.95,
-    eps: float = 1e-6,
-    lr: float = 1.0,
+    params: ParamStore, grads: dict[str, np.ndarray], state: OptimizerState, lr: float = 1.0
 ) -> None:
+    rho, eps = ADADELTA_RHO, ADADELTA_EPS
     for name in params.names():
         g = grads[name]
         sq = state.square_avg[name]
@@ -216,12 +193,12 @@ def adadelta_step(
         params.assign(name, params.node(name).values - lr * delta)
 
 
-def _descend(params: ParamStore, losses: DiffNode, state, cfg: TrainConfig, lr: float):
+def _descend(params: ParamStore, losses: DiffNode, state, lr: float):
     """One optimizer step on the batch mean of a (1, B) row of per-sample losses."""
     root = ad.mul_scalar(ad.sum_all(losses), 1.0 / losses.shape[1])
     grads = ad.backward(root, params.nodes())
     values = {name: g.values for name, g in zip(params.names(), grads)}
-    adadelta_step(params, values, state, cfg.rho, cfg.eps, lr)
+    adadelta_step(params, values, state, lr)
 
 
 def _edit_distances(grids: list[CharGrid], images: list[WordImage], alphabet) -> list[int]:
@@ -251,7 +228,7 @@ def _run_phase(phase, epoch, iterations, images, cfg, params, state, lr, step, l
                         PhaseLogRecord(epoch, phase, iteration, index, e, e_hat, loss, gate)
                         for index, e, e_hat, gate, loss in zip(*columns, losses.values[0].tolist())
                     )
-                _descend(params, losses, state, cfg, lr)
+                _descend(params, losses, state, lr)
             except NumericError as exc:
                 raise NumericError(
                     f"{phase} phase diverged at epoch {epoch}, iteration {iteration}: {exc}"
@@ -322,7 +299,7 @@ def train_surrogate_phase(
             for p, i in enumerate(indices)
         ]
         z_grids, y_grids, es = (list(column) for column in zip(*samples))
-        parts = surrogate_loss_parts(z_grids, y_grids, es, surrogate_net, cfg.weights)
+        parts = surrogate_loss_parts(z_grids, y_grids, es, surrogate_net, cfg.w1, cfg.w2)
         e_hats = parts.e_hat.values[0].tolist()
         logged = [GENERATED_SAMPLE_INDEX if p in pairs else i for p, i in enumerate(indices)]
         gates = [abs(e_hat - e) < cfg.lam for e_hat, e in zip(e_hats, es)]

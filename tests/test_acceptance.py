@@ -8,7 +8,7 @@ import itertools
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -32,7 +32,6 @@ from edsurrogate.recognizer import (
 )
 from edsurrogate.surrogate import (
     SurrogateConfig,
-    SurrogateLossWeights,
     SurrogateNet,
     distance_row,
     embed,
@@ -175,16 +174,15 @@ def test_criterion_2_gradients_match_central_differences():
         _fd_check_params(snet.params, grads, dist_recompute, rng)
 
         # Both loss terms; the penalty differentiates a gradient norm.
-        weights = SurrogateLossWeights(w1=1.0, w2=0.1)
         for term in ("fit", "penalty"):
 
             def term_recompute(arrays, term=term):
                 probe = SurrogateNet(SUR_TINY)
                 probe.params.load_arrays(arrays)
-                parts = surrogate_loss_parts([z], [y], [2], probe, weights)
+                parts = surrogate_loss_parts([z], [y], [2], probe, 1.0, 0.1)
                 return ad.sum_all(getattr(parts, term)).item()
 
-            parts = surrogate_loss_parts([z], [y], [2], snet, weights)
+            parts = surrogate_loss_parts([z], [y], [2], snet, 1.0, 0.1)
             root = ad.sum_all(getattr(parts, term))
             grads = dict(
                 zip(snet.params.names(), ad.backward(root, snet.params.nodes()))
@@ -344,7 +342,7 @@ def test_criterion_7_unfiltered_arm_differs(tmp_path):
 
         logs = {}
         for mode in ("feds", "lsed"):
-            cfg = TrainConfig.from_dict({**base_cfg.to_dict(), "mode": mode})
+            cfg = replace(base_cfg, mode=mode)
             net = RecognizerNet(rnet.config)
             net.params.load_arrays(arrays)
             result = run_post_tuning(cfg, dcfg, split, net)

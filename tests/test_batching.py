@@ -15,7 +15,6 @@ from edsurrogate.evaluation import EVAL_CHUNK, evaluate_model
 from edsurrogate.recognizer import RecognizerConfig, RecognizerNet, ce_loss, forward, recognize
 from edsurrogate.surrogate import (
     SurrogateConfig,
-    SurrogateLossWeights,
     SurrogateNet,
     distance_row,
     embed,
@@ -127,9 +126,8 @@ def test_embed_batch_columns_equal_single_embeddings():
 def test_surrogate_loss_batch_equals_loop_on_lsed_mix(w2):
     net = SurrogateNet(SCFG)
     z, y, e = lsed_mix(RecognizerNet(RCFG))
-    weights = SurrogateLossWeights(w1=1.0, w2=w2)
-    batch = surrogate_loss_parts(z, y, e, net, weights)
-    singles = [surrogate_loss_parts([a], [b], [d], net, weights) for a, b, d in zip(z, y, e)]
+    batch = surrogate_loss_parts(z, y, e, net, 1.0, w2)
+    singles = [surrogate_loss_parts([a], [b], [d], net, 1.0, w2) for a, b, d in zip(z, y, e)]
     terms = ("loss", "e_hat", "fit") + (("penalty",) if w2 > 0 else ())
     for term in terms:
         row = getattr(batch, term)

@@ -7,6 +7,7 @@ import pytest
 
 from edsurrogate.cli import main
 from edsurrogate.evaluation import (
+    LOG_HEADER,
     read_log_csv,
     read_metrics_csv,
     read_scatter_csv,
@@ -14,7 +15,7 @@ from edsurrogate.evaluation import (
 )
 from edsurrogate.params import load_checkpoint, save_checkpoint
 from edsurrogate.recognizer import RecognizerConfig, RecognizerNet, save_recognizer
-from edsurrogate.synth_data import DatasetConfig, load_dataset
+from edsurrogate.synth_data import load_dataset
 
 TINY = {
     "seed": 3,
@@ -264,6 +265,8 @@ def test_divergence_is_one_error_line_naming_the_step(tmp_path, capsys, command,
         ("train", "optimiser", "train-baseline"),
         ("train", "optimizer", "train-baseline"),  # an option that no longer exists
         ("train", "gate_mode", "tune"),  # an option that no longer exists
+        ("train", "rho", "tune"),  # ADADELTA's rho and eps are fixed constants
+        ("train", "eps", "train-baseline"),
         ("dataset", "colour", "gen-data"),
         ("recognizer", "chanels", "train-baseline"),
         ("surrogate", "hiden", "tune"),
@@ -302,8 +305,8 @@ NAN, INF = float("nan"), float("inf")
         ("tune", "train", "eta_a", NAN),
         ("tune", "train", "eta_b", INF),
         ("tune", "train", "eta_pre", -INF),
-        ("tune", "train", "eps", NAN),
-        ("tune", "train", "eps", INF),
+        ("tune", "train", "w1", NAN),
+        ("tune", "train", "w1", INF),
         ("tune", "recognizer", "channels", [8, 2.5]),
         ("tune", "surrogate", "slope", INF),
         # sections that the command itself does not build
@@ -331,6 +334,32 @@ def test_config_value_of_wrong_type_is_one_error_line(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"key {key!r}" in err
+
+
+@pytest.mark.parametrize("glyph_width", [0, -1])
+def test_glyph_width_below_one_is_one_error_line(tmp_path, capsys, glyph_width):
+    path = tmp_path / "config.json"
+    config = {"dataset": {"corpus_size": 4, "glyph_width": glyph_width}}
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "d")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "glyph_width" in err
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["1,recognizer,0,3,1,0.5", "1,recognizer,0,3,x,0.5,0.25,1"],
+    ids=["six-fields", "non-numeric-e"],
+)
+def test_bad_log_row_is_one_error_line_naming_file_and_line(tmp_path, capsys, row):
+    log = tmp_path / "log.csv"
+    log.write_text(f"{LOG_HEADER}\n{row}\n", encoding="utf-8")
+    code = main(["scatter", "--out", str(tmp_path / "s"), "--log", str(log)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {log}:2: ") and err.count("\n") == 1
 
 
 def test_unknown_config_section_is_rejected(tmp_path, capsys):

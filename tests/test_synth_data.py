@@ -33,6 +33,9 @@ def test_config_validation():
         DatasetConfig.desk(shift_range=2)  # exceeds cell slack
     with pytest.raises(ConfigError):
         DatasetConfig.desk(noise_std=-0.1)
+    for glyph_width in (0, -1):  # no glyph, or numpy's negative dimension
+        with pytest.raises(ConfigError, match="glyph_width"):
+            DatasetConfig.desk(glyph_width=glyph_width)
 
 
 def test_config_dict_round_trip():

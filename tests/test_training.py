@@ -8,12 +8,7 @@ from edsurrogate import training
 from edsurrogate.errors import ConfigError
 from edsurrogate.params import ParamStore
 from edsurrogate.recognizer import RecognizerConfig, RecognizerNet, forward
-from edsurrogate.surrogate import (
-    SurrogateConfig,
-    SurrogateLossWeights,
-    SurrogateNet,
-    embed,
-)
+from edsurrogate.surrogate import SurrogateConfig, SurrogateNet, embed
 from edsurrogate.synth_data import DatasetConfig, sample_corpus, split_corpus
 from edsurrogate.training import (
     OptimizerState,
@@ -65,12 +60,16 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(mode="other")
     with pytest.raises(ConfigError):
-        TrainConfig(rho=1.0)
+        TrainConfig(w1=0.0)
+    with pytest.raises(ConfigError):
+        TrainConfig(w2=-0.1)
 
 
-def test_config_dict_round_trip():
-    cfg = TrainConfig(lam=0.4, mode="lsed", weights=SurrogateLossWeights(w2=0.2))
-    assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+@pytest.mark.parametrize("preset", [TrainConfig.desk, DatasetConfig.desk])
+@pytest.mark.parametrize("key", ["optimiser", "rho", "cls"])
+def test_desk_presets_reject_an_unknown_key(preset, key):
+    with pytest.raises(ConfigError, match=f"unknown (train|dataset) key '{key}'"):
+        preset(**{key: 1})
 
 
 def test_net_factories_size_nets_for_the_dataset_and_apply_overrides():
