@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .blas import one_blas_thread
 from .errors import ConfigError
-from .recognizer import RecognizerNet, WordImage, recognize
+from .recognizer import RecognizerNet, WordImage, forward
 from .text_metrics import Alphabet, MetricsReport, decode_greedy, evaluate_set
 from .training import PHASE_RECOGNIZER, PhaseLogRecord
 
@@ -35,11 +35,10 @@ def evaluate_model(
         )
     if not images:
         raise ConfigError("empty evaluation split")
-    preds = [
-        decode_greedy(grid, alphabet)
-        for start in range(0, len(images), EVAL_CHUNK)
-        for grid in recognize(images[start : start + EVAL_CHUNK], net)
-    ]
+    preds = []
+    for start in range(0, len(images), EVAL_CHUNK):
+        chunk = images[start : start + EVAL_CHUNK]
+        preds += decode_greedy(forward(chunk, net).values, len(chunk), alphabet)
     return evaluate_set(preds, [image.label for image in images], dataset_id)
 
 
@@ -107,6 +106,8 @@ def write_log_csv(path, records: list[PhaseLogRecord]) -> None:
 
 def read_log_csv(path) -> list[PhaseLogRecord]:
     def parse(epoch, phase, iteration, sample_index, e, e_hat, loss, gate):
+        if int(e) < 0:
+            raise ValueError(f"edit distance e must be >= 0, got {e}")
         return PhaseLogRecord(
             epoch=int(epoch),
             phase=phase,

@@ -27,7 +27,7 @@ from .params import (
     save_checkpoint,
     tensor_shape,
 )
-from .text_metrics import CharGrid, split_grids
+from .text_metrics import is_one_hot
 
 META_IMAGE_SHAPE = "meta.image_shape"
 
@@ -119,25 +119,17 @@ def forward(images: WordImage | Sequence[WordImage], net: RecognizerNet) -> Diff
     return ad.softmax_columns(logits)
 
 
-def recognize(images: Sequence[WordImage], net: RecognizerNet) -> list[CharGrid]:
-    """The grid of each image of a sequence."""
-    return split_grids(forward(images, net).values, len(images))
-
-
-def ce_loss(z_hat: DiffNode, y_hat: Sequence[CharGrid]) -> DiffNode:
-    """(1, B) row of per-sample mean cross entropy -(1/(L|A|)) sum y log z,
-    log clamped at 1e-12, for B target grids laid side by side like
-    forward's output."""
-    targets = list(y_hat)
-    if not targets or not all(isinstance(t, CharGrid) and t.is_one_hot() for t in targets):
+def ce_loss(z_hat: DiffNode, y_values: np.ndarray, count: int) -> DiffNode:
+    """(1, count) row of per-sample mean cross entropy -(1/(L|A|)) sum y log z,
+    log clamped at 1e-12, for count one-hot target grids laid side by side in
+    y_values like forward's output."""
+    if not is_one_hot(y_values):
         raise ValueError("target grid must be one-hot")
-    y_values = np.concatenate([t.values for t in targets], axis=1)
     if z_hat.shape != y_values.shape:
         raise ShapeError(f"prediction shape {z_hat.shape} != target shape {y_values.shape}")
-    alphabet_size, capacity = targets[0].values.shape
     logs = ad.log(ad.clamp_min(z_hat, 1e-12))
-    products = ad.segment_sum(ad.mul(ad.constant(y_values), logs), len(targets))
-    return ad.mul_scalar(ad.sum_axis(products, 0), -1.0 / (capacity * alphabet_size))
+    products = ad.segment_sum(ad.mul(ad.constant(y_values), logs), count)
+    return ad.mul_scalar(ad.sum_axis(products, 0), -count / y_values.size)
 
 
 def save_recognizer(path, net: RecognizerNet) -> None:

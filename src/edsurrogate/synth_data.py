@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CapacityError, ConfigError, check_field_types, reject_unknown_keys
+from .params import MAX_EXACT_SEED
 from .recognizer import WordImage
 from .text_metrics import Alphabet, CharGrid, edit_distance, encode_one_hot
 
@@ -39,6 +40,11 @@ class DatasetConfig:
 
     def __post_init__(self):
         check_field_types("dataset", self)
+        if not 0 <= self.seed <= MAX_EXACT_SEED:
+            raise ConfigError(f"dataset key 'seed' must lie in [0, 2**53], got {self.seed}")
+        symbols = "".join(self.alphabet.symbols)
+        if any(ch in symbols for ch in ",\t\r\n"):  # metrics.csv and labels.tsv separators
+            raise ConfigError(f"dataset key 'alphabet' holds ',', tab, CR or LF: {symbols!r}")
         if self.capacity < 1 or self.corpus_size < 1 or self.glyph_width < 1:
             raise ConfigError("capacity, corpus_size and glyph_width must be positive")
         if self.image_width < self.capacity * self.glyph_width:

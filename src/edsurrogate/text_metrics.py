@@ -66,6 +66,20 @@ class Alphabet:
                 raise EncodingError("padding symbol not allowed inside a word")
 
 
+def _checked(values, count: int = 1) -> np.ndarray:
+    """values as a float64 2-d array of count grids side by side, finite, columns summing to 1."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2:
+        raise ShapeError(f"grid must be 2-d, got shape {values.shape}")
+    if count < 1 or values.shape[1] % count != 0:
+        raise ShapeError(f"shape {values.shape} does not hold {count} grids")
+    if not np.all(np.isfinite(values)):
+        raise ShapeError("grid contains non-finite entries")
+    if np.any(np.abs(values.sum(axis=0) - 1.0) > COLUMN_SUM_TOL):
+        raise ShapeError("grid columns must each sum to 1")
+    return values
+
+
 @dataclass(frozen=True)
 class CharGrid:
     """|A| x L column-stochastic matrix: one column per character slot."""
@@ -73,51 +87,46 @@ class CharGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2:
-            raise ShapeError(f"grid must be 2-d, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ShapeError("grid contains non-finite entries")
-        sums = values.sum(axis=0)
-        if np.any(np.abs(sums - 1.0) > COLUMN_SUM_TOL):
-            raise ShapeError("grid columns must each sum to 1")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _checked(self.values))
 
-    @property
-    def alphabet_size(self) -> int:
-        return self.values.shape[0]
 
-    def is_one_hot(self) -> bool:
-        ones_per_col = (self.values == 1.0).sum(axis=0)
-        zeros_ok = np.isin(self.values, (0.0, 1.0)).all()
-        return bool(zeros_ok and np.all(ones_per_col == 1))
+def is_one_hot(values: np.ndarray) -> bool:
+    """Whether every column of a 2-d array holds one 1.0 and zeros elsewhere."""
+    ones = values == 1.0
+    return bool(np.all(ones | (values == 0.0)) and np.all(ones.sum(axis=0) == 1))
 
 
 def split_grids(values: np.ndarray, count: int) -> list[CharGrid]:
     """Cut an (|A|, count*L) array of side-by-side grids into count grids."""
-    if values.ndim != 2 or count < 1 or values.shape[1] % count != 0:
-        raise ShapeError(f"shape {values.shape} does not hold {count} grids")
-    return [CharGrid(block) for block in np.split(values, count, axis=1)]
+    return [CharGrid(block) for block in np.split(_checked(values, count), count, axis=1)]
+
+
+def encode_batch(words: list[str], alphabet: Alphabet, capacity: int) -> np.ndarray:
+    """The words' one-hot grids side by side, each right-padded with pad-hot columns."""
+    rows = []
+    for word in words:
+        if len(word) > capacity:
+            raise CapacityError(f"word of length {len(word)} exceeds capacity {capacity}")
+        alphabet.validate_word(word)
+        pad = [alphabet.pad_index] * (capacity - len(word))
+        rows += [alphabet.index_of(ch) for ch in word] + pad
+    values = np.zeros((len(alphabet), len(rows)), dtype=np.float64)
+    values[rows, np.arange(len(rows))] = 1.0
+    return values
 
 
 def encode_one_hot(word: str, alphabet: Alphabet, capacity: int) -> CharGrid:
     """One-hot grid for `word`, right-padded with pad-hot columns."""
-    if len(word) > capacity:
-        raise CapacityError(f"word of length {len(word)} exceeds capacity {capacity}")
-    alphabet.validate_word(word)
-    values = np.zeros((len(alphabet), capacity), dtype=np.float64)
-    for col in range(capacity):
-        row = alphabet.index_of(word[col]) if col < len(word) else alphabet.pad_index
-        values[row, col] = 1.0
-    return CharGrid(values)
+    return CharGrid(encode_batch([word], alphabet, capacity))
 
 
-def decode_greedy(grid: CharGrid, alphabet: Alphabet) -> str:
-    """Per-column argmax (ties -> lowest row), padding symbols dropped."""
-    if grid.alphabet_size != len(alphabet):
+def decode_greedy(values, count: int, alphabet: Alphabet) -> list[str]:
+    """Words of count side-by-side grids: per-column argmax (ties -> lowest row), pad dropped."""
+    values = _checked(values, count)
+    if values.shape[0] != len(alphabet):
         raise ShapeError("grid row count does not match alphabet size")
-    rows = np.argmax(grid.values, axis=0)
-    return "".join(alphabet.symbols[r] for r in rows if r != alphabet.pad_index)
+    grids = np.argmax(values, axis=0).reshape(count, -1).tolist()
+    return ["".join(alphabet.symbols[r] for r in g if r != alphabet.pad_index) for g in grids]
 
 
 def edit_distance(a: str, b: str) -> int:

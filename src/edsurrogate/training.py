@@ -25,7 +25,7 @@ from . import autodiff as ad
 from .autodiff import DiffNode
 from .blas import one_blas_thread
 from .errors import ConfigError, NumericError, ShapeError, check_field_types, reject_unknown_keys
-from .params import ParamStore
+from .params import MAX_EXACT_SEED, ParamStore
 from .recognizer import (
     RecognizerConfig,
     RecognizerNet,
@@ -43,7 +43,7 @@ from .surrogate import (
     surrogate_loss_parts,
 )
 from .synth_data import DatasetConfig, SplitCorpus, random_pair_generator
-from .text_metrics import CharGrid, decode_greedy, edit_distance, encode_one_hot, split_grids
+from .text_metrics import decode_greedy, edit_distance, encode_batch, encode_one_hot, split_grids
 
 PHASE_PRETRAIN = "pretrain"
 PHASE_SURROGATE = "surrogate"
@@ -76,6 +76,8 @@ class TrainConfig:
 
     def __post_init__(self):
         check_field_types("train", self)
+        if not 0 <= self.seed <= MAX_EXACT_SEED:
+            raise ConfigError(f"train key 'seed' must lie in [0, 2**53], got {self.seed}")
         if self.i_a < 1 or self.i_b < 1 or self.epochs < 1:
             raise ConfigError("i_a, i_b and epochs must be >= 1")
         if not self.lam > 0:
@@ -201,9 +203,10 @@ def _descend(params: ParamStore, losses: DiffNode, state, lr: float):
     adadelta_step(params, values, state, lr)
 
 
-def _edit_distances(grids: list[CharGrid], images: list[WordImage], alphabet) -> list[int]:
-    """Edit distance between each greedily decoded grid and its image's label."""
-    return [edit_distance(decode_greedy(g, alphabet), im.label) for g, im in zip(grids, images)]
+def _edit_distances(z_values: np.ndarray, images: list[WordImage], alphabet) -> list[int]:
+    """Edit distance from the greedy decoding of each grid in z_values to its image's label."""
+    words = decode_greedy(z_values, len(images), alphabet)
+    return [edit_distance(word, image.label) for word, image in zip(words, images)]
 
 
 _STREAMS = {PHASE_PRETRAIN: 0, PHASE_SURROGATE: 1, PHASE_RECOGNIZER: 2}
@@ -246,17 +249,15 @@ def pretrain_recognizer(
 ) -> None:
     """Plain cross-entropy training of the recognizer (the baseline). Without
     logs, nothing is decoded."""
-    targets = {}  # label -> its one-hot target grid
 
     def step(indices, rng):
         batch = [images[index] for index in indices]
-        for label in {image.label for image in batch} - targets.keys():
-            targets[label] = encode_one_hot(label, dcfg.alphabet, dcfg.capacity)
+        y_values = encode_batch([image.label for image in batch], dcfg.alphabet, dcfg.capacity)
         z_node = forward(batch, recognizer)
-        losses = ce_loss(z_node, [targets[image.label] for image in batch])
+        losses = ce_loss(z_node, y_values, len(batch))
         if logs is None:
             return losses, None
-        es = _edit_distances(split_grids(z_node.values, len(batch)), batch, dcfg.alphabet)
+        es = _edit_distances(z_node.values, batch, dcfg.alphabet)
         return losses, (indices, es, [math.nan] * len(batch), [False] * len(batch))
 
     _run_phase(
@@ -280,7 +281,7 @@ def train_surrogate_phase(
     holds a pair from the random pair generator instead, drawn after the
     batch's indices."""
     # index -> (predicted grid, target grid, edit distance), for this phase
-    cache: dict[int, tuple[CharGrid, CharGrid, int]] = {}
+    cache = {}
     generated = range(1, cfg.batch_size, 2) if cfg.mode == "lsed" else range(0)
 
     def step(indices, rng):
@@ -289,9 +290,9 @@ def train_surrogate_phase(
         misses = list(dict.fromkeys(index for index in real if index not in cache))
         if misses:
             missed = [images[index] for index in misses]
-            grids = split_grids(forward(missed, recognizer).values, len(misses))
-            es = _edit_distances(grids, missed, dcfg.alphabet)
-            for index, grid, e in zip(misses, grids, es):
+            z_values = forward(missed, recognizer).values
+            es = _edit_distances(z_values, missed, dcfg.alphabet)
+            for index, grid, e in zip(misses, split_grids(z_values, len(misses)), es):
                 y_grid = encode_one_hot(images[index].label, dcfg.alphabet, dcfg.capacity)
                 cache[index] = (grid, y_grid, e)
         samples = [
@@ -331,11 +332,11 @@ def tune_recognizer_phase(
         batch = [images[index] for index in indices]
         new = list(dict.fromkeys(im.label for im in batch if im.label not in targets))
         if new:
-            y_new = [encode_one_hot(label, dcfg.alphabet, dcfg.capacity) for label in new]
+            y_new = ad.constant(encode_batch(new, dcfg.alphabet, dcfg.capacity))
             targets.update(zip(new, embed(y_new, surrogate_net).values.T))
         y_embed = ad.constant(np.stack([targets[im.label] for im in batch], axis=1))
         z_node = forward(batch, recognizer)
-        es = _edit_distances(split_grids(z_node.values, len(batch)), batch, dcfg.alphabet)
+        es = _edit_distances(z_node.values, batch, dcfg.alphabet)
         parts = filtered_str_loss_parts(z_node, y_embed, es, surrogate_net, lam)
         return parts.loss, (indices, es, parts.e_hat.values[0].tolist(), parts.gate_open)
 

@@ -1,13 +1,16 @@
 """Independent reference implementations used only to check the package.
 
 Nothing in here touches the library's own code paths: the edit-distance
-oracle is top-down recursion over the three-way recurrence, and the
-gradient oracle is central finite differences.
+oracle is top-down recursion over the three-way recurrence, the gradient
+oracle is central finite differences, and the grid oracles check and decode
+one grid, and one column, at a time.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from edsurrogate.errors import ShapeError
 
 
 def recursive_edit_distance(a: str, b: str, memo=None) -> int:
@@ -73,3 +76,40 @@ def assert_gradients_close(analytic, numeric, abs_tol=1e-7, rel_tol=1e-4):
         f"gradient mismatch: max violation {worst:.3e}, "
         f"max abs diff {diff.max():.3e}"
     )
+
+
+def per_grid_decode(values, count: int, alphabet, tol: float = 1e-6) -> list[str]:
+    """Greedy decoding of count side-by-side grids, one grid at a time: each
+    grid is checked on its own (finite, columns summing to 1 within tol, one
+    row per symbol), then each column's first largest row is its symbol and
+    the pad symbol is dropped. Raises ShapeError with the package's messages."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2 or count < 1 or values.shape[1] % count != 0:
+        raise ShapeError(f"shape {values.shape} does not hold {count} grids")
+    words = []
+    for grid in np.split(values, count, axis=1):
+        if not np.all(np.isfinite(grid)):
+            raise ShapeError("grid contains non-finite entries")
+        if any(abs(sum(column) - 1.0) > tol for column in grid.T.tolist()):
+            raise ShapeError("grid columns must each sum to 1")
+        if grid.shape[0] != len(alphabet):
+            raise ShapeError("grid row count does not match alphabet size")
+        rows = [max(range(len(column)), key=column.__getitem__) for column in grid.T.tolist()]
+        words.append("".join(alphabet.symbols[r] for r in rows if r != alphabet.pad_index))
+    return words
+
+
+def grid_is_one_hot(grid) -> bool:
+    """Whether each column of one grid holds exactly one 1.0 and zeros elsewhere."""
+    columns = np.asarray(grid).T.tolist()
+    return all(sorted(column) == [0.0] * (len(column) - 1) + [1.0] for column in columns)
+
+
+def per_column_one_hot(word: str, alphabet, capacity: int) -> np.ndarray:
+    """word's one-hot grid, one column at a time: the row of each character
+    of word, then the pad row up to capacity."""
+    values = np.zeros((len(alphabet), capacity))
+    for col in range(capacity):
+        row = alphabet.symbols.index(word[col]) if col < len(word) else alphabet.pad_index
+        values[row, col] = 1.0
+    return values

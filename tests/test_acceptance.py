@@ -28,7 +28,6 @@ from edsurrogate.recognizer import (
     WordImage,
     ce_loss,
     forward,
-    recognize,
 )
 from edsurrogate.surrogate import (
     SurrogateConfig,
@@ -44,6 +43,7 @@ from edsurrogate.text_metrics import (
     decode_greedy,
     edit_distance,
     encode_one_hot,
+    split_grids,
 )
 from edsurrogate.training import (
     OptimizerState,
@@ -150,9 +150,9 @@ def test_criterion_2_gradients_match_central_differences():
         def ce_recompute(arrays):
             probe = RecognizerNet(REC_TINY)
             probe.params.load_arrays(arrays)
-            return ad.sum_all(ce_loss(forward(image, probe), [target])).item()
+            return ad.sum_all(ce_loss(forward(image, probe), target.values, 1)).item()
 
-        root = ad.sum_all(ce_loss(forward(image, net), [target]))
+        root = ad.sum_all(ce_loss(forward(image, net), target.values, 1))
         grads = dict(
             zip(net.params.names(), ad.backward(root, net.params.nodes()))
         )
@@ -202,7 +202,7 @@ def test_criterion_3_gate_zeroes_recognizer_gradients():
             pixels=rng.random((REC_TINY.image_height, REC_TINY.image_width)), label="ab"
         )
         z_node = forward(image, rnet)
-        decoded = decode_greedy(CharGrid(z_node.values), ALPHABET3)
+        (decoded,) = decode_greedy(z_node.values, 1, ALPHABET3)
 
         def theta_grads(y_label: str, lam: float, gate_mode: str):
             y = encode_one_hot(y_label, ALPHABET3, REC_TINY.capacity)
@@ -244,8 +244,8 @@ def _held_out_fit(images, recognizer, surrogate, dcfg) -> float:
             targets[image.label] = encode_one_hot(
                 image.label, dcfg.alphabet, dcfg.capacity
             )
-        (z,) = recognize([image], recognizer)
-        e = edit_distance(decode_greedy(z, dcfg.alphabet), image.label)
+        (z,) = split_grids(forward([image], recognizer).values, 1)
+        e = edit_distance(decode_greedy(z.values, 1, dcfg.alphabet)[0], image.label)
         e_hat = distance_row([z], embed([targets[image.label]], surrogate), surrogate)
         gaps.append(abs(e_hat.values.item() - e))
     return float(np.mean(gaps))

@@ -12,7 +12,7 @@ import pytest
 from edsurrogate import autodiff as ad
 from edsurrogate import blas
 from edsurrogate.evaluation import EVAL_CHUNK, evaluate_model
-from edsurrogate.recognizer import RecognizerConfig, RecognizerNet, ce_loss, forward, recognize
+from edsurrogate.recognizer import RecognizerConfig, RecognizerNet, ce_loss, forward
 from edsurrogate.surrogate import (
     SurrogateConfig,
     SurrogateNet,
@@ -70,7 +70,7 @@ def test_forward_batch_blocks_equal_single_forwards():
     assert batch.shape == (RCFG.alphabet_size, len(IMAGES) * RCFG.capacity)
     assert forward(IMAGES[0], net).shape == (RCFG.alphabet_size, RCFG.capacity)
     assert_close(batch.values, np.concatenate([forward(im, net).values for im in IMAGES], axis=1))
-    grids = recognize(IMAGES, net)
+    grids = split_grids(forward(IMAGES, net).values, len(IMAGES))
     assert [g.values.tobytes() for g in grids] == [
         g.values.tobytes() for g in split_grids(batch.values, len(IMAGES))
     ]
@@ -79,8 +79,9 @@ def test_forward_batch_blocks_equal_single_forwards():
 def test_ce_loss_batch_equals_loop():
     net = RecognizerNet(RCFG)
     targets = targets_of(IMAGES)
-    row = ce_loss(forward(IMAGES, net), targets)
-    singles = [ce_loss(forward(im, net), [t]) for im, t in zip(IMAGES, targets)]
+    y_values = np.concatenate([t.values for t in targets], axis=1)
+    row = ce_loss(forward(IMAGES, net), y_values, len(targets))
+    singles = [ce_loss(forward(im, net), t.values, 1) for im, t in zip(IMAGES, targets)]
     assert row.shape == (1, len(IMAGES))
     assert_close(row.values[0], [s.values.item() for s in singles])
     assert_grads_close(
@@ -103,10 +104,10 @@ def lsed_mix(rnet):
             y.append(pair.grid_b)
             e.append(pair.ed)
         else:
-            (grid,) = recognize([image], rnet)
+            (grid,) = split_grids(forward([image], rnet).values, 1)
             z.append(grid)
             y.append(encode_one_hot(image.label, DCFG.alphabet, DCFG.capacity))
-            e.append(edit_distance(decode_greedy(grid, DCFG.alphabet), image.label))
+            e.append(edit_distance(decode_greedy(grid.values, 1, DCFG.alphabet)[0], image.label))
     return z, y, e
 
 
@@ -147,7 +148,8 @@ def tuning_batch():
     rnet, snet = RecognizerNet(RCFG), SurrogateNet(SCFG)
     grids = split_grids(forward(IMAGES, rnet).values, len(IMAGES))
     e = [
-        edit_distance(decode_greedy(g, DCFG.alphabet), im.label) for g, im in zip(grids, IMAGES)
+        edit_distance(decode_greedy(g.values, 1, DCFG.alphabet)[0], im.label)
+        for g, im in zip(grids, IMAGES)
     ]
     return rnet, snet, targets_of(IMAGES), e
 
@@ -235,7 +237,9 @@ def test_chunked_evaluation_predicts_as_per_image_recognize():
     assert len(images) % EVAL_CHUNK != 0
     net = RecognizerNet(RCFG)
     report = evaluate_model(net, images, DCFG.alphabet)
-    expected = [decode_greedy(recognize([image], net)[0], DCFG.alphabet) for image in images]
+    expected = [
+        decode_greedy(forward([image], net).values, 1, DCFG.alphabet)[0] for image in images
+    ]
     assert [pred for _, pred, _ in report.rows] == expected
 
 

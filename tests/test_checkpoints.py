@@ -18,8 +18,8 @@ from edsurrogate.recognizer import (
     RecognizerConfig,
     RecognizerNet,
     WordImage,
+    forward,
     load_recognizer,
-    recognize,
     save_recognizer,
 )
 from edsurrogate.surrogate import (
@@ -68,8 +68,8 @@ def test_recognizer_round_trip_preserves_behavior(tmp_path):
         alphabet_size=3, capacity=4, image_height=5, image_width=12, channels=(6, 7)
     )
     image = WordImage(np.random.default_rng(1).random((5, 12)), "ab")
-    assert recognize([image], net)[0].values.tobytes() == (
-        recognize([image], loaded)[0].values.tobytes()
+    assert forward([image], net).values.tobytes() == (
+        forward([image], loaded).values.tobytes()
     )
 
 
@@ -92,8 +92,8 @@ def test_recognizer_with_non_default_slope_and_seed_reloads_bit_identical(tmp_pa
     assert loaded.config == config
     # Negative conv features pass through the slope, so it shapes the output.
     image = WordImage(np.random.default_rng(2).random((5, 12)), "ab")
-    assert recognize([image], net)[0].values.tobytes() == (
-        recognize([image], loaded)[0].values.tobytes()
+    assert forward([image], net).values.tobytes() == (
+        forward([image], loaded).values.tobytes()
     )
 
 

@@ -348,10 +348,37 @@ def test_glyph_width_below_one_is_one_error_line(tmp_path, capsys, glyph_width):
     assert not (tmp_path / "d").exists()
 
 
+@pytest.mark.parametrize("alphabet", ["_a,b\t", "_ab\t", "_a\rb", "_ab\n"])
+def test_alphabet_holding_a_file_separator_is_one_error_line(tmp_path, capsys, alphabet):
+    # metrics.csv splits on commas and labels.tsv on tabs, both by line.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"dataset": {"alphabet": alphabet}}), encoding="utf-8")
+    assert main(["train-baseline", "--config", str(path), "--out", str(tmp_path / "b")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: dataset key 'alphabet' ") and err.count("\n") == 1
+    assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**53 + 1])
+@pytest.mark.parametrize("command", ["gen-data", "train-baseline", "tune"])
+def test_seed_out_of_range_is_one_error_line_before_any_work(
+    tmp_path, capsys, monkeypatch, command, seed
+):
+    def render(cfg):
+        pytest.fail("rendered a corpus before rejecting the seed")
+
+    monkeypatch.setattr("edsurrogate.cli.sample_corpus", render)
+    assert main([command, "--seed", str(seed), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "key 'seed'" in err and str(seed) in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "row",
-    ["1,recognizer,0,3,1,0.5", "1,recognizer,0,3,x,0.5,0.25,1"],
-    ids=["six-fields", "non-numeric-e"],
+    ["1,recognizer,0,3,1,0.5", "1,recognizer,0,3,x,0.5,0.25,1", "1,recognizer,0,3,-2,nan,0.0,0"],
+    ids=["six-fields", "non-numeric-e", "negative-e"],
 )
 def test_bad_log_row_is_one_error_line_naming_file_and_line(tmp_path, capsys, row):
     log = tmp_path / "log.csv"

@@ -9,9 +9,14 @@ from edsurrogate.recognizer import (
     WordImage,
     ce_loss,
     forward,
-    recognize,
 )
-from edsurrogate.text_metrics import Alphabet, CharGrid, decode_greedy, encode_one_hot
+from edsurrogate.text_metrics import (
+    Alphabet,
+    CharGrid,
+    decode_greedy,
+    encode_one_hot,
+    split_grids,
+)
 
 TINY = RecognizerConfig(
     alphabet_size=3,
@@ -39,7 +44,7 @@ def test_config_validation():
 
 
 def test_output_columns_are_stochastic():
-    (grid,) = recognize([random_image()], RecognizerNet(TINY))
+    (grid,) = split_grids(forward([random_image()], RecognizerNet(TINY)).values, 1)
     assert grid.values.shape == (3, 4)
     assert np.allclose(grid.values.sum(axis=0), 1.0, atol=1e-6)
     assert grid.values.min() >= 0.0
@@ -47,14 +52,14 @@ def test_output_columns_are_stochastic():
 
 def test_identical_images_identical_grids():
     net = RecognizerNet(TINY)
-    (a,) = recognize([random_image(7)], net)
-    (b,) = recognize([random_image(7)], net)
+    (a,) = split_grids(forward([random_image(7)], net).values, 1)
+    (b,) = split_grids(forward([random_image(7)], net).values, 1)
     assert a.values.tobytes() == b.values.tobytes()
 
 
 def test_untrained_outputs_near_uniform():
     net = RecognizerNet(TINY)
-    (grid,) = recognize([random_image(1)], net)
+    (grid,) = split_grids(forward([random_image(1)], net).values, 1)
     entropy = -np.sum(grid.values * np.log(grid.values), axis=0)
     assert np.all(entropy >= 0.9 * np.log(TINY.alphabet_size))
 
@@ -68,22 +73,28 @@ def test_image_shape_mismatch_rejected():
 
 def test_ce_loss_zero_iff_exact():
     y = encode_one_hot("ab", ALPHABET, 4)
-    assert ce_loss(ad.constant(y.values), [y]).values.item() == pytest.approx(0.0, abs=1e-12)
+    loss = ce_loss(ad.constant(y.values), y.values, 1).values.item()
+    assert loss == pytest.approx(0.0, abs=1e-12)
     almost = y.values * 0.9 + 0.1 / 3.0
-    assert ce_loss(ad.constant(almost), [y]).values.item() > 0.0
+    assert ce_loss(ad.constant(almost), y.values, 1).values.item() > 0.0
 
 
 def test_ce_loss_uniform_closed_form():
     y = encode_one_hot("ba", ALPHABET, 4)
     uniform = CharGrid(np.full((3, 4), 1.0 / 3.0))
-    loss = ce_loss(ad.constant(uniform.values), [y]).values.item()
+    loss = ce_loss(ad.constant(uniform.values), y.values, 1).values.item()
     assert loss == pytest.approx(np.log(3.0) / 3.0, rel=1e-12)
 
 
 def test_ce_loss_requires_one_hot_target():
     uniform = CharGrid(np.full((3, 4), 1.0 / 3.0))
     with pytest.raises(ValueError):
-        ce_loss(ad.constant(uniform.values), [uniform])
+        ce_loss(ad.constant(uniform.values), uniform.values, 1)
+    # One soft target in the middle of an otherwise one-hot batch.
+    targets = [encode_one_hot("ab", ALPHABET, 4), uniform, encode_one_hot("ba", ALPHABET, 4)]
+    y = np.concatenate([t.values for t in targets], axis=1)
+    with pytest.raises(ValueError, match="one-hot"):
+        ce_loss(ad.constant(y), y, len(targets))
 
 
 def test_ce_gradient_wrt_weights_matches_fd():
@@ -91,7 +102,7 @@ def test_ce_gradient_wrt_weights_matches_fd():
     image = random_image(5)
     target = encode_one_hot("ab", ALPHABET, 4)
 
-    root = ad.sum_all(ce_loss(forward(image, net), [target]))
+    root = ad.sum_all(ce_loss(forward(image, net), target.values, 1))
     grads = dict(zip(net.params.names(), ad.backward(root, net.params.nodes())))
 
     arrays = net.params.to_arrays()
@@ -107,7 +118,7 @@ def test_ce_gradient_wrt_weights_matches_fd():
             bumped[name].flat[flat] += delta
             other = RecognizerNet(TINY)
             other.params.load_arrays(bumped)
-            return ad.sum_all(ce_loss(forward(image, other), [target])).item()
+            return ad.sum_all(ce_loss(forward(image, other), target.values, 1)).item()
 
         numeric = (value_at(step) - value_at(-step)) / (2 * step)
         analytic = grads[name].values.flat[flat]
@@ -116,6 +127,6 @@ def test_ce_gradient_wrt_weights_matches_fd():
 
 def test_recognize_decodes_to_some_word():
     net = RecognizerNet(TINY)
-    word = decode_greedy(recognize([random_image(2)], net)[0], ALPHABET)
+    (word,) = decode_greedy(forward([random_image(2)], net).values, 1, ALPHABET)
     assert isinstance(word, str)
     assert len(word) <= 4

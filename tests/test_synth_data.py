@@ -170,8 +170,8 @@ def test_pair_labels_match_recursive_oracle():
     rng = np.random.default_rng(3)
     for _ in range(50):
         pair = random_pair_generator(CFG, rng)
-        a = decode_greedy(pair.grid_a, CFG.alphabet)
-        b = decode_greedy(pair.grid_b, CFG.alphabet)
+        (a,) = decode_greedy(pair.grid_a.values, 1, CFG.alphabet)
+        (b,) = decode_greedy(pair.grid_b.values, 1, CFG.alphabet)
         assert pair.ed == recursive_edit_distance(a, b)
 
 

@@ -9,11 +9,19 @@ from edsurrogate.text_metrics import (
     CharGrid,
     decode_greedy,
     edit_distance,
+    encode_batch,
     encode_one_hot,
     evaluate_set,
+    is_one_hot,
 )
 
-from .oracles import recursive_edit_distance, unmemoized_edit_distance
+from .oracles import (
+    grid_is_one_hot,
+    per_column_one_hot,
+    per_grid_decode,
+    recursive_edit_distance,
+    unmemoized_edit_distance,
+)
 
 ABC = Alphabet.from_string("_abc")
 
@@ -47,7 +55,7 @@ def test_encode_ab_layout():
     expected[2, 1] = 1.0  # b
     expected[0, 2] = 1.0  # pad
     assert np.array_equal(grid.values, expected)
-    assert grid.is_one_hot()
+    assert is_one_hot(grid.values)
 
 
 def test_encode_empty_word_is_all_pad():
@@ -66,12 +74,12 @@ def test_encode_rejects_long_word_and_bad_chars():
 
 def test_decode_strips_padding():
     grid = encode_one_hot("cat", Alphabet.default(), 5)
-    assert decode_greedy(grid, Alphabet.default()) == "cat"
+    assert decode_greedy(grid.values, 1, Alphabet.default()) == ["cat"]
 
 
 def test_decode_uniform_ties_resolve_to_pad():
     grid = CharGrid(np.full((4, 3), 0.25))
-    assert decode_greedy(grid, ABC) == ""
+    assert decode_greedy(grid.values, 1, ABC) == [""]
 
 
 def test_decode_soft_grid():
@@ -79,13 +87,96 @@ def test_decode_soft_grid():
     grid = encode_one_hot("hey", alphabet, 4)
     soft = 0.6 * grid.values + 0.4 / len(alphabet)
     soft = soft / soft.sum(axis=0, keepdims=True)
-    assert decode_greedy(CharGrid(soft), alphabet) == "hey"
+    assert decode_greedy(CharGrid(soft).values, 1, alphabet) == ["hey"]
 
 
 @given(words)
 def test_encode_decode_roundtrip(word):
     grid = encode_one_hot(word, ABC, 5)
-    assert decode_greedy(grid, ABC) == word
+    assert decode_greedy(grid.values, 1, ABC) == [word]
+
+
+FAULTS = (None, "non-finite", "column sum", "row count", "count")
+
+
+@st.composite
+def grid_batches(draw):
+    """(values, count, alphabet, fault): count grids side by side, built from
+    small integer columns so that ties are common, with all-pad columns and
+    at most one fault."""
+    size = draw(st.integers(2, 5))
+    count = draw(st.integers(1, 4))
+    width = draw(st.integers(0, 4))
+    columns = []
+    for _ in range(count * width):
+        weights = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+        if sum(weights) == 0:  # an all-pad column
+            weights[0] = 1
+        columns.append(np.asarray(weights, dtype=np.float64) / sum(weights))
+    values = np.stack(columns, axis=1) if columns else np.zeros((size, 0))
+    alphabet = Alphabet.from_string("_abcdefgh"[:size])
+    fault = draw(st.sampled_from(FAULTS if values.size else (None, "row count")))
+    if fault == "non-finite":
+        values[draw(st.integers(0, size - 1)), draw(st.integers(0, values.shape[1] - 1))] = (
+            draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        )
+    elif fault == "column sum":
+        values[:, draw(st.integers(0, values.shape[1] - 1))] *= draw(st.sampled_from([0.5, 1.01]))
+    elif fault == "row count":
+        other = draw(st.sampled_from([size + 1] + [size - 1] * (size > 2)))
+        alphabet = Alphabet.from_string("_abcdefgh"[:other])
+    elif fault == "count":
+        count = draw(st.sampled_from([0, -1, values.shape[1] + 1]))
+    return values, count, alphabet, fault
+
+
+def outcome(decode, values, count, alphabet):
+    """The decoded words, or the type and message of the error raised."""
+    try:
+        return decode(values, count, alphabet)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@given(grid_batches())
+def test_batch_decode_matches_per_grid_oracle(batch):
+    values, count, alphabet, fault = batch
+    got = outcome(decode_greedy, values.copy(), count, alphabet)
+    assert got == outcome(per_grid_decode, values, count, alphabet)
+    assert isinstance(got, list) == (fault is None)
+
+
+@st.composite
+def target_batches(draw):
+    """count one-hot grids side by side, with zero to two entries overwritten."""
+    size, count, width = draw(st.integers(2, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    rows = draw(st.lists(st.integers(0, size - 1), min_size=count * width, max_size=count * width))
+    values = np.zeros((size, count * width))
+    values[rows, np.arange(count * width)] = 1.0
+    for _ in range(draw(st.integers(0, 2))):
+        row, col = draw(st.integers(0, size - 1)), draw(st.integers(0, count * width - 1))
+        values[row, col] = draw(st.sampled_from([0.0, -0.0, 1.0, 0.5, 2.0, -1.0, np.nan]))
+    return values, count
+
+
+@given(target_batches())
+def test_batch_one_hot_check_matches_per_grid_oracle(batch):
+    values, count = batch
+    expected = all(grid_is_one_hot(g) for g in np.split(values, count, axis=1))
+    assert is_one_hot(values) == expected
+
+
+@given(st.lists(st.text(alphabet="abc", max_size=4), min_size=1, max_size=5))
+def test_batch_encoding_matches_per_column_oracle(words):
+    expected = np.concatenate([per_column_one_hot(w, ABC, 4) for w in words], axis=1)
+    assert np.array_equal(encode_batch(words, ABC, 4), expected)
+
+
+def test_batch_encoding_rejects_any_bad_word():
+    with pytest.raises(CapacityError):
+        encode_batch(["ab", "abcab"], ABC, 3)
+    with pytest.raises(EncodingError):
+        encode_batch(["ab", "a_b"], ABC, 3)
 
 
 def test_grid_rejects_bad_columns():

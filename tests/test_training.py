@@ -1,9 +1,10 @@
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
 
 from edsurrogate import autodiff as ad
+from edsurrogate import recognizer as recognizer_module
 from edsurrogate import training
 from edsurrogate.errors import ConfigError
 from edsurrogate.params import ParamStore
@@ -23,7 +24,7 @@ from edsurrogate.training import (
     train_surrogate_phase,
     tune_recognizer_phase,
 )
-from edsurrogate.text_metrics import CharGrid, decode_greedy, edit_distance, encode_one_hot
+from edsurrogate.text_metrics import decode_greedy, edit_distance, encode_one_hot
 from perfbench.tracer import Tracer, summarize
 
 DCFG = DatasetConfig.desk(corpus_size=60)
@@ -70,6 +71,14 @@ def test_config_validation():
 def test_desk_presets_reject_an_unknown_key(preset, key):
     with pytest.raises(ConfigError, match=f"unknown (train|dataset) key '{key}'"):
         preset(**{key: 1})
+
+
+@pytest.mark.parametrize("preset", [TrainConfig.desk, DatasetConfig.desk])
+def test_desk_presets_take_only_seeds_a_checkpoint_holds_exactly(preset):
+    for seed in (-1, 2**53 + 1):
+        with pytest.raises(ConfigError, match=f"key 'seed' must lie in .*, got {seed}"):
+            preset(seed=seed)
+    assert preset(seed=0).seed == 0 and preset(seed=2**53).seed == 2**53
 
 
 def test_net_factories_size_nets_for_the_dataset_and_apply_overrides():
@@ -130,7 +139,7 @@ def _tuning_sample():
     image = sample_corpus(DatasetConfig.desk(corpus_size=1))[0]
     z_node = forward(image, recognizer)
     y_grid = encode_one_hot(image.label, DCFG.alphabet, DCFG.capacity)
-    e = edit_distance(decode_greedy(CharGrid(z_node.values), DCFG.alphabet), image.label)
+    e = edit_distance(decode_greedy(z_node.values, 1, DCFG.alphabet)[0], image.label)
     return recognizer, surrogate, z_node, y_grid, e
 
 
@@ -371,6 +380,37 @@ def test_desk_steps_stay_within_their_graph_budget(monkeypatch):
     assert counts[1] <= TUNE_STEP_NODES
 
 
+def test_desk_steps_decode_and_check_their_batch_once(monkeypatch):
+    # One logged step of each phase at B = 16 decodes its grids in one call,
+    # and pretraining checks its targets for one-hotness in one call.
+    split = split_corpus(sample_corpus(DCFG))
+    cfg = TrainConfig.desk(pretrain_iterations=1, i_a=1, i_b=1, mode="feds")
+    assert cfg.batch_size == 16
+    recognizer, surrogate_net = build_recognizer(DCFG, 0), build_surrogate(DCFG, 0)
+    calls = Counter()
+
+    def count_calls(module, name):
+        function = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count_calls(training, "decode_greedy")
+    count_calls(recognizer_module, "is_one_hot")
+    pretrain_recognizer(split.train, recognizer, cfg, DCFG, [])
+    assert calls == {"decode_greedy": 1, "is_one_hot": 1}
+    for phase, net in (
+        (train_surrogate_phase, surrogate_net),  # cold cache: every real sample misses
+        (tune_recognizer_phase, recognizer),
+    ):
+        calls.clear()
+        phase(split.train, recognizer, surrogate_net, cfg, DCFG, 1, OptimizerState(net.params), [])
+        assert calls == {"decode_greedy": 1}, phase.__name__
+
+
 def test_post_tuning_rejects_baseline_mode():
     # Pretraining is the baseline; no post-tuning config can name it.
     with pytest.raises(ConfigError, match="mode must be one of"):
@@ -459,8 +499,7 @@ def desk_epoch_one():
     )
     pretrain_recognizer(split.train, recognizer, cfg, dcfg)
     correct = sum(
-        decode_greedy(CharGrid(forward(image, recognizer).values), dcfg.alphabet)
-        == image.label
+        decode_greedy(forward(image, recognizer).values, 1, dcfg.alphabet) == [image.label]
         for image in split.test
     )
     surrogate = SurrogateNet(
