@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 
 EPS_NORM = 1e-12
 
@@ -152,7 +152,11 @@ def log(a):
 
 
 def leaky_relu(a, slope=0.01):
-    values = np.where(a.values > 0, a.values, slope * a.values)
+    """max(a, slope*a): equal to a where a > 0 and slope*a elsewhere, signed
+    zeros included, for 0 <= slope <= 1, the only slopes accepted."""
+    if not 0 <= slope <= 1:
+        raise ConfigError(f"leaky_relu slope must lie in [0, 1], got {slope!r}")
+    values = np.maximum(a.values, slope * a.values)
     return DiffNode(values, _vjp_leaky_relu, (a,), meta=float(slope))
 
 
@@ -223,8 +227,7 @@ def tile_axis(a, axis, reps):
     _require_2d(a, "tile_axis")
     if axis not in (0, 1) or a.shape[axis] != 1:
         raise ShapeError(f"tile_axis: axis {axis} of {a.shape} must have size 1")
-    shape = (reps, a.shape[1]) if axis == 0 else (a.shape[0], reps)
-    return DiffNode(np.broadcast_to(a.values, shape).copy(), _vjp_tile_axis, (a,), meta=axis)
+    return DiffNode(np.repeat(a.values, reps, axis=axis), _vjp_tile_axis, (a,), meta=axis)
 
 
 def _segment_width(a, segments, op):
@@ -354,7 +357,7 @@ def _vjp_log(node, g, needed):
 
 def _vjp_leaky_relu(node, g, needed):
     (a,) = node.parents
-    return (mul_const(g, np.where(a.values > 0, 1.0, node.meta)),)
+    return (mul_const(g, np.maximum((a.values > 0).astype(np.float64), node.meta)),)
 
 
 def _vjp_clamp_min(node, g, needed):
@@ -449,7 +452,7 @@ def l2_norm_eps(a, eps=EPS_NORM):
 def softmax_columns(a):
     """Column-wise softmax of a 2-d node (stable via constant max shift)."""
     _require_2d(a, "softmax_columns")
-    shift = DiffNode(np.broadcast_to(a.values.max(axis=0, keepdims=True), a.shape).copy())
+    shift = DiffNode(np.repeat(a.values.max(axis=0, keepdims=True), a.shape[0], axis=0))
     e = exp(sub(a, shift))
     totals = tile_axis(sum_axis(e, 0), 0, a.shape[0])
     return div(e, totals)

@@ -72,6 +72,8 @@ class RecognizerConfig:
             raise ConfigError("channel counts must be positive")
         if self.kernel < 1 or self.kernel % 2 == 0:
             raise ConfigError("kernel must be odd so same-padding is exact")
+        if not 0 <= self.slope <= 1:
+            raise ConfigError(f"recognizer key 'slope' must lie in [0, 1], got {self.slope}")
 
 
 class RecognizerNet:

@@ -56,6 +56,8 @@ class SurrogateConfig:
             raise ConfigError("channel counts must be positive")
         if self.kernel < 1 or self.kernel % 2 == 0:
             raise ConfigError("kernel must be odd so same-padding is exact")
+        if not 0 <= self.slope <= 1:
+            raise ConfigError(f"surrogate key 'slope' must lie in [0, 1], got {self.slope}")
 
 
 class SurrogateNet:
@@ -143,8 +145,8 @@ def surrogate_loss_parts(
     z_hat, y_hat, e: Sequence[int], net: SurrogateNet, w1: float, w2: float
 ) -> SurrogateLossParts:
     """(1, B) rows of the loss w1*(e_hat - e)^2 + w2*(||d e_hat/d z||_2 - 1)^2
-    and its pieces, for B distances e and the sequences of B predicted grids
-    z_hat and B target grids y_hat.
+    and its pieces, for B distances e, B predicted grids z_hat and B target
+    grids y_hat, each given as embed takes them.
 
     The penalty gradient is taken w.r.t. the predicted grids only, with
     create_graph set so the loss stays differentiable in the weights;

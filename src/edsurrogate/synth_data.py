@@ -18,7 +18,7 @@ import numpy as np
 from .errors import CapacityError, ConfigError, check_field_types, reject_unknown_keys
 from .params import MAX_EXACT_SEED
 from .recognizer import WordImage
-from .text_metrics import Alphabet, CharGrid, edit_distance, encode_one_hot
+from .text_metrics import Alphabet, edit_distance
 
 LABELS_FILE = "labels.tsv"
 META_FILE = "dataset.json"
@@ -83,8 +83,8 @@ class DatasetConfig:
 
 @dataclass(frozen=True)
 class PairSample:
-    grid_a: CharGrid
-    grid_b: CharGrid
+    word_a: str
+    word_b: str
     ed: int
 
 
@@ -192,11 +192,7 @@ def random_pair_generator(cfg: DatasetConfig, rng) -> PairSample:
     base = sample_word(cfg, rng)
     k = int(rng.integers(0, cfg.capacity // 2 + 1))
     edited = mutate_word(base, k, cfg, rng)
-    return PairSample(
-        grid_a=encode_one_hot(base, cfg.alphabet, cfg.capacity),
-        grid_b=encode_one_hot(edited, cfg.alphabet, cfg.capacity),
-        ed=edit_distance(base, edited),
-    )
+    return PairSample(base, edited, edit_distance(base, edited))
 
 
 def _pgm_bytes(pixels: np.ndarray) -> bytes:

@@ -1,8 +1,8 @@
 """Exact string metrics and character-grid encodings.
 
 Everything here is the ground truth the learned components are measured
-against: Levenshtein distance via dynamic programming, one-hot grid
-encoding/decoding, and the Acc/NED/TED evaluation report.
+against: bit-parallel Levenshtein distance, one-hot grid encoding/decoding,
+and the Acc/NED/TED evaluation report.
 """
 
 from __future__ import annotations
@@ -96,28 +96,17 @@ def is_one_hot(values: np.ndarray) -> bool:
     return bool(np.all(ones | (values == 0.0)) and np.all(ones.sum(axis=0) == 1))
 
 
-def split_grids(values: np.ndarray, count: int) -> list[CharGrid]:
-    """Cut an (|A|, count*L) array of side-by-side grids into count grids."""
-    return [CharGrid(block) for block in np.split(_checked(values, count), count, axis=1)]
-
-
 def encode_batch(words: list[str], alphabet: Alphabet, capacity: int) -> np.ndarray:
     """The words' one-hot grids side by side, each right-padded with pad-hot columns."""
-    rows = []
-    for word in words:
+    rows = np.full((len(words), capacity), alphabet.pad_index, dtype=np.intp)
+    for k, word in enumerate(words):
         if len(word) > capacity:
             raise CapacityError(f"word of length {len(word)} exceeds capacity {capacity}")
         alphabet.validate_word(word)
-        pad = [alphabet.pad_index] * (capacity - len(word))
-        rows += [alphabet.index_of(ch) for ch in word] + pad
-    values = np.zeros((len(alphabet), len(rows)), dtype=np.float64)
-    values[rows, np.arange(len(rows))] = 1.0
+        rows[k, : len(word)] = [alphabet.index_of(ch) for ch in word]
+    values = np.zeros((len(alphabet), rows.size), dtype=np.float64)
+    values[rows.ravel(), np.arange(rows.size)] = 1.0
     return values
-
-
-def encode_one_hot(word: str, alphabet: Alphabet, capacity: int) -> CharGrid:
-    """One-hot grid for `word`, right-padded with pad-hot columns."""
-    return CharGrid(encode_batch([word], alphabet, capacity))
 
 
 def decode_greedy(values, count: int, alphabet: Alphabet) -> list[str]:
@@ -130,16 +119,32 @@ def decode_greedy(values, count: int, alphabet: Alphabet) -> list[str]:
 
 
 def edit_distance(a: str, b: str) -> int:
-    """Levenshtein distance (insert/delete/substitute), two-row DP."""
+    """Levenshtein distance (insert/delete/substitute), bit-parallel over the
+    shorter word (Myers 1999, in Hyyro's 2001 form): bit i of pv/mv says the
+    DP column steps up/down at row i, and score tracks its last row."""
     if len(a) < len(b):
         a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, 1):
-        cur = [i]
-        for j, cb in enumerate(b, 1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
-        prev = cur
-    return prev[-1]
+    if not b:
+        return len(a)
+    peq: dict[str, int] = {}
+    for i, ch in enumerate(b):
+        peq[ch] = peq.get(ch, 0) | 1 << i
+    top = 1 << (len(b) - 1)
+    pv, mv, score = (top << 1) - 1, 0, len(b)
+    for ch in a:
+        eq = peq.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & top:
+            score += 1
+        elif mh & top:
+            score -= 1
+        ph = ph << 1 | 1
+        pv = mh << 1 | ~(xv | ph)
+        mv = ph & xv
+    return score
 
 
 @dataclass

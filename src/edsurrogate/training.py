@@ -43,7 +43,7 @@ from .surrogate import (
     surrogate_loss_parts,
 )
 from .synth_data import DatasetConfig, SplitCorpus, random_pair_generator
-from .text_metrics import decode_greedy, edit_distance, encode_batch, encode_one_hot, split_grids
+from .text_metrics import decode_greedy, edit_distance, encode_batch
 
 PHASE_PRETRAIN = "pretrain"
 PHASE_SURROGATE = "surrogate"
@@ -280,7 +280,8 @@ def train_surrogate_phase(
     triples from the frozen recognizer. In lsed mode every odd batch position
     holds a pair from the random pair generator instead, drawn after the
     batch's indices."""
-    # index -> (predicted grid, target grid, edit distance), for this phase
+    # index -> (predicted grid, target grid, edit distance), for this phase;
+    # the grids are column views of their miss batch's arrays
     cache = {}
     generated = range(1, cfg.batch_size, 2) if cfg.mode == "lsed" else range(0)
 
@@ -291,16 +292,21 @@ def train_surrogate_phase(
         if misses:
             missed = [images[index] for index in misses]
             z_values = forward(missed, recognizer).values
+            y_values = encode_batch([im.label for im in missed], dcfg.alphabet, dcfg.capacity)
             es = _edit_distances(z_values, missed, dcfg.alphabet)
-            for index, grid, e in zip(misses, split_grids(z_values, len(misses)), es):
-                y_grid = encode_one_hot(images[index].label, dcfg.alphabet, dcfg.capacity)
-                cache[index] = (grid, y_grid, e)
-        samples = [
-            (pairs[p].grid_a, pairs[p].grid_b, pairs[p].ed) if p in pairs else cache[i]
-            for p, i in enumerate(indices)
-        ]
-        z_grids, y_grids, es = (list(column) for column in zip(*samples))
-        parts = surrogate_loss_parts(z_grids, y_grids, es, surrogate_net, cfg.w1, cfg.w2)
+            z_cut, y_cut = (np.split(v, len(misses), axis=1) for v in (z_values, y_values))
+            cache.update(zip(misses, zip(z_cut, y_cut, es)))
+        if pairs:  # one encoding of every generated word, a and b alternating
+            words = [word for pair in pairs.values() for word in (pair.word_a, pair.word_b)]
+            grids = np.split(encode_batch(words, dcfg.alphabet, dcfg.capacity), len(words), axis=1)
+            pairs = {
+                p: (grids[2 * j], grids[2 * j + 1], pair.ed)
+                for j, (p, pair) in enumerate(pairs.items())
+            }
+        samples = [pairs[p] if p in pairs else cache[i] for p, i in enumerate(indices)]
+        z_grids, y_grids, es = zip(*samples)
+        z_hat, y_hat = (ad.constant(np.concatenate(g, axis=1)) for g in (z_grids, y_grids))
+        parts = surrogate_loss_parts(z_hat, y_hat, es, surrogate_net, cfg.w1, cfg.w2)
         e_hats = parts.e_hat.values[0].tolist()
         logged = [GENERATED_SAMPLE_INDEX if p in pairs else i for p, i in enumerate(indices)]
         gates = [abs(e_hat - e) < cfg.lam for e_hat, e in zip(e_hats, es)]

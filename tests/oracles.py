@@ -1,16 +1,20 @@
 """Independent reference implementations used only to check the package.
 
 Nothing in here touches the library's own code paths: the edit-distance
-oracle is top-down recursion over the three-way recurrence, the gradient
-oracle is central finite differences, and the grid oracles check and decode
-one grid, and one column, at a time.
+oracles are top-down recursion over the three-way recurrence and the
+two-row DP that the bit-parallel distance replaced, the gradient oracle is
+central finite differences, the grid oracles check and decode one grid, and
+one column, at a time, and the kernel oracles are the np.where and
+broadcast-copy forms of autodiff's leaky ReLU, tile and softmax shift.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from edsurrogate import autodiff as ad
 from edsurrogate.errors import ShapeError
+from edsurrogate.text_metrics import CharGrid, _checked, encode_batch
 
 
 def recursive_edit_distance(a: str, b: str, memo=None) -> int:
@@ -45,6 +49,19 @@ def unmemoized_edit_distance(a: str, b: str) -> int:
         unmemoized_edit_distance(a, b[:-1]) + 1,
         unmemoized_edit_distance(a[:-1], b[:-1]) + (a[-1] != b[-1]),
     )
+
+
+def two_row_edit_distance(a: str, b: str) -> int:
+    """Levenshtein distance by the two-row DP over the shorter word."""
+    if len(a) < len(b):
+        a, b = b, a
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, 1):
+        cur = [i]
+        for j, cb in enumerate(b, 1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
+        prev = cur
+    return prev[-1]
 
 
 def finite_difference_gradient(func, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -113,3 +130,38 @@ def per_column_one_hot(word: str, alphabet, capacity: int) -> np.ndarray:
         row = alphabet.symbols.index(word[col]) if col < len(word) else alphabet.pad_index
         values[row, col] = 1.0
     return values
+
+
+def split_grids(values: np.ndarray, count: int) -> list[CharGrid]:
+    """Cut an (|A|, count*L) array of side-by-side grids into count grids."""
+    return [CharGrid(block) for block in np.split(_checked(values, count), count, axis=1)]
+
+
+def encode_one_hot(word: str, alphabet, capacity: int) -> CharGrid:
+    """One-hot grid for `word`, right-padded with pad-hot columns."""
+    return CharGrid(encode_batch([word], alphabet, capacity))
+
+
+def where_leaky_relu(a, slope=0.01):
+    """autodiff.leaky_relu with np.where selecting a or slope*a, and a VJP
+    whose mask np.where selects from 1.0 and slope."""
+    values = np.where(a.values > 0, a.values, slope * a.values)
+    return ad.DiffNode(values, _vjp_where_leaky_relu, (a,), meta=float(slope))
+
+
+def _vjp_where_leaky_relu(node, g, needed):
+    (a,) = node.parents
+    return (ad.mul_const(g, np.where(a.values > 0, 1.0, node.meta)),)
+
+
+def broadcast_tile_axis(a, axis, reps):
+    """autodiff.tile_axis as a copy of np.broadcast_to."""
+    shape = (reps, a.shape[1]) if axis == 0 else (a.shape[0], reps)
+    return ad.DiffNode(np.broadcast_to(a.values, shape).copy(), ad._vjp_tile_axis, (a,), meta=axis)
+
+
+def broadcast_softmax_columns(a):
+    """autodiff.softmax_columns with its max shift a copy of np.broadcast_to."""
+    shift = ad.DiffNode(np.broadcast_to(a.values.max(axis=0, keepdims=True), a.shape).copy())
+    e = ad.exp(ad.sub(a, shift))
+    return ad.div(e, ad.tile_axis(ad.sum_axis(e, 0), 0, a.shape[0]))

@@ -42,8 +42,6 @@ from edsurrogate.text_metrics import (
     CharGrid,
     decode_greedy,
     edit_distance,
-    encode_one_hot,
-    split_grids,
 )
 from edsurrogate.training import (
     OptimizerState,
@@ -56,7 +54,7 @@ from edsurrogate.training import (
     train_surrogate_phase,
 )
 
-from .oracles import recursive_edit_distance
+from .oracles import encode_one_hot, recursive_edit_distance, split_grids
 
 
 @contextmanager

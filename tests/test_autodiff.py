@@ -5,9 +5,15 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from edsurrogate import autodiff as ad
-from edsurrogate.errors import NumericError, ShapeError
+from edsurrogate.errors import ConfigError, NumericError, ShapeError
 
-from .oracles import assert_gradients_close, finite_difference_gradient
+from .oracles import (
+    assert_gradients_close,
+    broadcast_softmax_columns,
+    broadcast_tile_axis,
+    finite_difference_gradient,
+    where_leaky_relu,
+)
 
 RNG = np.random.default_rng(1234)
 
@@ -26,6 +32,49 @@ def fd_check(build, x0, abs_tol=1e-7, rel_tol=1e-4, step=1e-5):
 def test_leaky_relu_forward():
     node = ad.leaky_relu(ad.constant([-1.0, 2.0]), slope=0.01)
     assert np.allclose(node.values, [-0.01, 2.0])
+
+
+# Signed zeros, subnormals and values far from 1 besides ordinary floats;
+# at most 12 entries of magnitude <= 1e300 keep every sum finite.
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300]
+edge_elements = st.sampled_from(EDGE_VALUES) | st.floats(-1e300, 1e300)
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.01, 0.3, 1.0])
+@given(values=hnp.arrays(np.float64, (3, 4), elements=edge_elements))
+def test_leaky_relu_and_its_mask_equal_the_where_forms_bitwise(slope, values):
+    shipped, oracle = ad.variable(values), ad.variable(values)
+    out, expected = ad.leaky_relu(shipped, slope), where_leaky_relu(oracle, slope)
+    assert out.values.tobytes() == expected.values.tobytes()
+    # The gradient of the sum is 1.0 times the VJP mask, bit for bit.
+    (mask,) = ad.backward(ad.sum_all(out), [shipped])
+    (expected_mask,) = ad.backward(ad.sum_all(expected), [oracle])
+    assert mask.values.tobytes() == expected_mask.values.tobytes()
+
+
+@pytest.mark.parametrize("slope", [-0.01, 1.5, float("nan")])
+def test_leaky_relu_rejects_a_slope_outside_the_unit_interval(slope):
+    with pytest.raises(ConfigError, match="slope must lie in"):
+        ad.leaky_relu(ad.constant([1.0]), slope)
+
+
+@given(
+    layout=st.sampled_from([((1, 4), 0), ((3, 1), 1), ((1, 1), 0), ((1, 1), 1)]),
+    reps=st.integers(1, 5),
+    data=st.data(),
+)
+def test_tile_axis_equals_the_broadcast_copy_bitwise(layout, reps, data):
+    shape, axis = layout
+    node = ad.constant(data.draw(hnp.arrays(np.float64, shape, elements=edge_elements)))
+    expected = broadcast_tile_axis(node, axis, reps)
+    assert ad.tile_axis(node, axis, reps).values.tobytes() == expected.values.tobytes()
+
+
+@given(values=hnp.arrays(np.float64, (4, 3), elements=st.floats(-50, 50)))
+def test_softmax_shift_equals_the_broadcast_copy_bitwise(values):
+    node = ad.constant(values)
+    expected = broadcast_softmax_columns(node)
+    assert ad.softmax_columns(node).values.tobytes() == expected.values.tobytes()
 
 
 def test_softmax_of_zero_column_is_uniform():

@@ -21,8 +21,10 @@ from edsurrogate.surrogate import (
     surrogate_loss_parts,
 )
 from edsurrogate.synth_data import DatasetConfig, random_pair_generator, sample_corpus
-from edsurrogate.text_metrics import decode_greedy, edit_distance, encode_one_hot, split_grids
+from edsurrogate.text_metrics import decode_greedy, edit_distance
 from edsurrogate.training import filtered_str_loss_parts
+
+from .oracles import encode_one_hot, split_grids
 
 TOL = 1e-10
 DCFG = DatasetConfig.desk(corpus_size=40, seed=4)
@@ -100,8 +102,8 @@ def lsed_mix(rnet):
     for position, image in enumerate(IMAGES):
         if position % 2:
             pair = random_pair_generator(DCFG, rng)
-            z.append(pair.grid_a)
-            y.append(pair.grid_b)
+            z.append(encode_one_hot(pair.word_a, DCFG.alphabet, DCFG.capacity))
+            y.append(encode_one_hot(pair.word_b, DCFG.alphabet, DCFG.capacity))
             e.append(pair.ed)
         else:
             (grid,) = split_grids(forward([image], rnet).values, 1)

@@ -288,6 +288,17 @@ def corrupted(draw, blob: bytes) -> bytes:
 
 
 @pytest.mark.parametrize("family", sorted(LOADERS))
+def test_checkpoint_with_slope_outside_unit_interval_is_rejected(tiny_checkpoints, family):
+    blobs, path = tiny_checkpoints
+    path.write_bytes(blobs[family])
+    header, arrays = load_checkpoint(path)
+    arrays["meta.slope"] = np.array([-0.5])
+    save_checkpoint(path, header, arrays)
+    with pytest.raises(ConfigError, match=f"{family} key 'slope' must lie in"):
+        LOADERS[family](path)
+
+
+@pytest.mark.parametrize("family", sorted(LOADERS))
 @settings(derandomize=True, max_examples=400, deadline=None, database=None)
 @given(data=st.data())
 def test_corrupted_checkpoint_raises_only_package_errors(tiny_checkpoints, family, data):

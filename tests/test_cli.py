@@ -309,6 +309,7 @@ NAN, INF = float("nan"), float("inf")
         ("tune", "train", "w1", INF),
         ("tune", "recognizer", "channels", [8, 2.5]),
         ("tune", "surrogate", "slope", INF),
+        ("tune", "surrogate", "slope", 1.5),
         # sections that the command itself does not build
         ("train-baseline", "surrogate", "slope", NAN),
         ("gen-data", "surrogate", "slope", NAN),

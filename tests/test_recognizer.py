@@ -10,13 +10,9 @@ from edsurrogate.recognizer import (
     ce_loss,
     forward,
 )
-from edsurrogate.text_metrics import (
-    Alphabet,
-    CharGrid,
-    decode_greedy,
-    encode_one_hot,
-    split_grids,
-)
+from edsurrogate.text_metrics import Alphabet, CharGrid, decode_greedy
+
+from .oracles import encode_one_hot, split_grids
 
 TINY = RecognizerConfig(
     alphabet_size=3,
@@ -39,6 +35,11 @@ def test_config_validation():
         RecognizerConfig(alphabet_size=3, capacity=5, image_height=4, image_width=12)
     with pytest.raises(ConfigError):
         RecognizerConfig(alphabet_size=3, capacity=4, image_height=4, image_width=12, kernel=4)
+    for slope in (-0.01, 1.5):
+        with pytest.raises(ConfigError, match="key 'slope' must lie in"):
+            RecognizerConfig(
+                alphabet_size=3, capacity=4, image_height=4, image_width=12, slope=slope
+            )
     with pytest.raises(ValueError):
         WordImage(np.full((2, 2), 1.5), "a")
 

@@ -12,9 +12,9 @@ from edsurrogate.surrogate import (
     embed,
     surrogate_loss_parts,
 )
-from edsurrogate.text_metrics import Alphabet, CharGrid, encode_one_hot
+from edsurrogate.text_metrics import Alphabet, CharGrid
 
-from .oracles import assert_gradients_close, finite_difference_gradient
+from .oracles import assert_gradients_close, encode_one_hot, finite_difference_gradient
 
 TINY = SurrogateConfig(
     alphabet_size=3,
@@ -44,6 +44,9 @@ def test_config_validation():
         SurrogateConfig(alphabet_size=3, capacity=4, channels=(4, 4, 4))
     with pytest.raises(ConfigError):
         SurrogateConfig(alphabet_size=3, capacity=4, kernel=2)
+    for slope in (-0.01, 1.5):
+        with pytest.raises(ConfigError, match="key 'slope' must lie in"):
+            SurrogateConfig(alphabet_size=3, capacity=4, slope=slope)
 
 
 def test_embedding_shape_and_determinism():

@@ -18,7 +18,7 @@ from edsurrogate.synth_data import (
     save_dataset,
     split_corpus,
 )
-from edsurrogate.text_metrics import decode_greedy, edit_distance
+from edsurrogate.text_metrics import edit_distance
 
 from .oracles import recursive_edit_distance
 
@@ -170,9 +170,7 @@ def test_pair_labels_match_recursive_oracle():
     rng = np.random.default_rng(3)
     for _ in range(50):
         pair = random_pair_generator(CFG, rng)
-        (a,) = decode_greedy(pair.grid_a.values, 1, CFG.alphabet)
-        (b,) = decode_greedy(pair.grid_b.values, 1, CFG.alphabet)
-        assert pair.ed == recursive_edit_distance(a, b)
+        assert pair.ed == recursive_edit_distance(pair.word_a, pair.word_b)
 
 
 def test_pair_ed_buckets_all_populated():

@@ -10,16 +10,17 @@ from edsurrogate.text_metrics import (
     decode_greedy,
     edit_distance,
     encode_batch,
-    encode_one_hot,
     evaluate_set,
     is_one_hot,
 )
 
 from .oracles import (
+    encode_one_hot,
     grid_is_one_hot,
     per_column_one_hot,
     per_grid_decode,
     recursive_edit_distance,
+    two_row_edit_distance,
     unmemoized_edit_distance,
 )
 
@@ -214,6 +215,24 @@ def test_dp_matches_exhaustive_recursion_on_two_letter_words():
 def test_dp_matches_unmemoized_recursion_spot_checks():
     for a, b in [("abab", "bb"), ("aaa", "bbb"), ("ba", "ab"), ("", "abab")]:
         assert edit_distance(a, b) == unmemoized_edit_distance(a, b)
+
+
+@st.composite
+def word_pairs(draw):
+    """Two words of length 0-16 over the desk letters or over letters that
+    are not ASCII."""
+    letters = draw(st.sampled_from(["abcdefgh", "a\u00e9\u00df\u4e2d\U0001f600"]))
+    word = st.text(alphabet=letters, max_size=16)
+    return draw(word), draw(word)
+
+
+@settings(max_examples=400)
+@given(word_pairs())
+def test_bit_parallel_distance_matches_two_row_dp(pair):
+    a, b = pair
+    expected = two_row_edit_distance(a, b)
+    assert edit_distance(a, b) == expected
+    assert edit_distance(b, a) == expected
 
 
 @given(words, words)

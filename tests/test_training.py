@@ -5,8 +5,9 @@ import pytest
 
 from edsurrogate import autodiff as ad
 from edsurrogate import recognizer as recognizer_module
-from edsurrogate import training
+from edsurrogate import synth_data, training
 from edsurrogate.errors import ConfigError
+from edsurrogate.evaluation import write_log_csv
 from edsurrogate.params import ParamStore
 from edsurrogate.recognizer import RecognizerConfig, RecognizerNet, forward
 from edsurrogate.surrogate import SurrogateConfig, SurrogateNet, embed
@@ -24,8 +25,16 @@ from edsurrogate.training import (
     train_surrogate_phase,
     tune_recognizer_phase,
 )
-from edsurrogate.text_metrics import decode_greedy, edit_distance, encode_one_hot
+from edsurrogate.text_metrics import decode_greedy, edit_distance
 from perfbench.tracer import Tracer, summarize
+
+from .oracles import (
+    broadcast_softmax_columns,
+    broadcast_tile_axis,
+    encode_one_hot,
+    two_row_edit_distance,
+    where_leaky_relu,
+)
 
 DCFG = DatasetConfig.desk(corpus_size=60)
 RCFG = RecognizerConfig(
@@ -445,6 +454,29 @@ def test_post_tuning_writes_epoch_checkpoints(tmp_path):
     for epoch in (1, 2):
         assert (tmp_path / f"recognizer_epoch{epoch}.bin").exists()
         assert (tmp_path / f"surrogate_epoch{epoch}.bin").exists()
+
+
+def _post_tuning_bytes(out_dir, mode) -> dict[str, bytes]:
+    """Every checkpoint and the log of a two-epoch, B = 4 post-tuning run."""
+    split = split_corpus(sample_corpus(DCFG))
+    cfg = small_config(epochs=2, mode=mode)
+    result = run_post_tuning(cfg, DCFG, split, RecognizerNet(RCFG), SurrogateNet(SCFG), out_dir)
+    write_log_csv(out_dir / "log.csv", result.logs)
+    return {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+
+
+@pytest.mark.parametrize("mode", training.MODES)
+def test_post_tuning_writes_the_same_bytes_with_the_oracle_kernels(tmp_path, monkeypatch, mode):
+    shipped = _post_tuning_bytes(tmp_path / "shipped", mode)
+    for module, name, oracle in (
+        (ad, "leaky_relu", where_leaky_relu),
+        (ad, "tile_axis", broadcast_tile_axis),
+        (ad, "softmax_columns", broadcast_softmax_columns),
+        (training, "edit_distance", two_row_edit_distance),
+        (synth_data, "edit_distance", two_row_edit_distance),
+    ):
+        monkeypatch.setattr(module, name, oracle)
+    assert _post_tuning_bytes(tmp_path / "oracle", mode) == shipped
 
 
 def test_pretrain_reduces_ce_loss():
