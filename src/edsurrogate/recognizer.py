@@ -41,9 +41,9 @@ class WordImage:
         pixels = np.asarray(self.pixels, dtype=np.float64)
         if pixels.ndim != 2:
             raise ShapeError(f"image must be 2-d, got shape {pixels.shape}")
-        if not np.all(np.isfinite(pixels)):
-            raise NumericError("image contains non-finite pixels")
-        if pixels.min() < 0.0 or pixels.max() > 1.0:
+        if not (0.0 <= pixels.min() and pixels.max() <= 1.0):  # NaN fails both
+            if not np.all(np.isfinite(pixels)):
+                raise NumericError("image contains non-finite pixels")
             raise ValueError("pixels must lie in [0, 1]")
         pixels.setflags(write=False)
         object.__setattr__(self, "pixels", pixels)

@@ -15,14 +15,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, check_field_types, reject_unknown_keys
+from .errors import ConfigError, check_field_types, reject_unknown_keys
 from .params import MAX_EXACT_SEED
 from .recognizer import WordImage
-from .text_metrics import Alphabet, edit_distance
+from .text_metrics import Alphabet, edit_distance, label_rows
 
 LABELS_FILE = "labels.tsv"
 META_FILE = "dataset.json"
 _GLYPH_TABLES: dict[tuple, np.ndarray] = {}  # _glyph_table's cache, at most 8 entries
+# Images per block: 32 desk images are 96 KB, below glibc's 128 KB mmap threshold. A
+# larger block is mmapped, and freeing it raises that threshold for the rest of the process.
+_BLOCK_IMAGES = 32
 
 
 @dataclass(frozen=True)
@@ -114,34 +117,42 @@ def _glyph_table(cfg: DatasetConfig) -> np.ndarray:
     return _GLYPH_TABLES[key]
 
 
-def render_word(word: str, cfg: DatasetConfig, rng) -> WordImage:
-    cfg.alphabet.validate_word(word)
-    if len(word) > cfg.capacity:
-        raise CapacityError(f"word {word!r} exceeds capacity {cfg.capacity}")
-    canvas = np.zeros((cfg.image_height, cfg.image_width))
-    shift = int(rng.integers(0, cfg.shift_range + 1)) if cfg.shift_range else 0
-    glyphs = _glyph_table(cfg)
-    for slot, char in enumerate(word):
-        col = slot * cfg.cell_width + shift
-        canvas[:, col : col + cfg.glyph_width] = glyphs[cfg.alphabet.index_of(char)]
-    if cfg.noise_std > 0:
-        canvas = canvas + rng.normal(0.0, cfg.noise_std, canvas.shape)
-    return WordImage(np.clip(canvas, 0.0, 1.0), word)
-
-
 def sample_word(cfg: DatasetConfig, rng) -> str:
     length = int(rng.integers(1, cfg.capacity + 1))
     letters = cfg.alphabet.symbols[1:]
-    return "".join(letters[rng.integers(len(letters))] for _ in range(length))
+    return "".join([letters[k] for k in rng.integers(len(letters), size=length).tolist()])
 
 
 def sample_corpus(cfg: DatasetConfig) -> list[WordImage]:
     """corpus_size labeled images; sample i is a pure function of (seed, i)."""
-    images = []
-    for index in range(cfg.corpus_size):
-        rng = np.random.default_rng([cfg.seed, index])
-        images.append(render_word(sample_word(cfg, rng), cfg, rng))
+    images: list[WordImage] = []
+    for start in range(0, cfg.corpus_size, _BLOCK_IMAGES):
+        images += _render_block(cfg, range(start, min(start + _BLOCK_IMAGES, cfg.corpus_size)))
     return images
+
+
+def _render_block(cfg: DatasetConfig, indices: range) -> list[WordImage]:
+    """The images of indices as read-only rows of one block. Per image only its
+    draws from rng([seed, i]): word, shift, then noise straight into its row.
+    Then, once per block: every slot's glyph columns added with one fancy index
+    (a pad slot adds the blank glyph, so + 0.0), one clip, one read-only flag."""
+    shape = (cfg.image_height, cfg.image_width)
+    pixels = np.zeros((len(indices), *shape))
+    words, shifts = [], np.zeros(len(indices), dtype=np.intp)
+    for row, index in enumerate(indices):
+        rng = np.random.default_rng([cfg.seed, index])
+        words.append(sample_word(cfg, rng))
+        if cfg.shift_range:
+            shifts[row] = rng.integers(0, cfg.shift_range + 1)
+        if cfg.noise_std > 0:
+            pixels[row] = rng.normal(0.0, cfg.noise_std, shape)
+    width = np.arange(cfg.glyph_width)
+    columns = np.arange(cfg.capacity)[:, None] * cfg.cell_width + width + shifts[:, None, None]
+    rows = label_rows(words, cfg.alphabet, cfg.capacity)[:, :, None]
+    pixels[np.arange(len(words))[:, None, None], :, columns] += _glyph_table(cfg)[rows, :, width]
+    np.clip(pixels, 0.0, 1.0, out=pixels)
+    pixels.setflags(write=False)
+    return [WordImage(image, word) for image, word in zip(pixels, words)]
 
 
 def split_corpus(images: list[WordImage]) -> SplitCorpus:
@@ -201,31 +212,6 @@ def _pgm_bytes(pixels: np.ndarray) -> bytes:
     return header + np.round(pixels * 255.0).astype(np.uint8).tobytes()
 
 
-def _parse_pgm(blob: bytes) -> np.ndarray:
-    fields: list[bytes] = []
-    pos = 0
-    while len(fields) < 4:
-        while pos < len(blob) and blob[pos : pos + 1].isspace():
-            pos += 1
-        if blob[pos : pos + 1] == b"#":
-            while pos < len(blob) and blob[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(blob) and not blob[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(blob[start:pos])
-    if fields[0] != b"P5" or fields[3] != b"255":
-        raise ValueError("expected an 8-bit P5 graymap")
-    w, h = int(fields[1]), int(fields[2])
-    if w < 1 or h < 1:
-        raise ValueError(f"graymap size {w}x{h} is not positive")
-    raster = blob[pos + 1 : pos + 1 + w * h]
-    if len(raster) != w * h:
-        raise ValueError("truncated graymap raster")
-    return np.frombuffer(raster, dtype=np.uint8).reshape(h, w) / 255.0
-
-
 def save_dataset(directory, images: list[WordImage], cfg: DatasetConfig) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -238,19 +224,3 @@ def save_dataset(directory, images: list[WordImage], cfg: DatasetConfig) -> None
     (directory / META_FILE).write_text(
         json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-
-
-def load_dataset(directory) -> tuple[list[WordImage], DatasetConfig]:
-    directory = Path(directory)
-    cfg = DatasetConfig.from_dict(
-        json.loads((directory / META_FILE).read_text(encoding="utf-8"))
-    )
-    images = []
-    rows = (directory / LABELS_FILE).read_text(encoding="utf-8").splitlines()
-    for row in rows[1:]:
-        index, filename, word = row.split("\t")
-        pixels = _parse_pgm((directory / filename).read_bytes())
-        images.append(WordImage(pixels, word))
-        if int(index) != len(images) - 1:
-            raise ValueError("label rows out of order")
-    return images, cfg

@@ -96,14 +96,20 @@ def is_one_hot(values: np.ndarray) -> bool:
     return bool(np.all(ones | (values == 0.0)) and np.all(ones.sum(axis=0) == 1))
 
 
-def encode_batch(words: list[str], alphabet: Alphabet, capacity: int) -> np.ndarray:
-    """The words' one-hot grids side by side, each right-padded with pad-hot columns."""
+def label_rows(words: list[str], alphabet: Alphabet, capacity: int) -> np.ndarray:
+    """(B, L) alphabet rows of the words' characters, each right-padded with the pad row."""
     rows = np.full((len(words), capacity), alphabet.pad_index, dtype=np.intp)
     for k, word in enumerate(words):
         if len(word) > capacity:
             raise CapacityError(f"word of length {len(word)} exceeds capacity {capacity}")
         alphabet.validate_word(word)
         rows[k, : len(word)] = [alphabet.index_of(ch) for ch in word]
+    return rows
+
+
+def encode_batch(words: list[str], alphabet: Alphabet, capacity: int) -> np.ndarray:
+    """The words' one-hot grids side by side, each right-padded with pad-hot columns."""
+    rows = label_rows(words, alphabet, capacity)
     values = np.zeros((len(alphabet), rows.size), dtype=np.float64)
     values[rows.ravel(), np.arange(rows.size)] = 1.0
     return values

@@ -4,16 +4,23 @@ Nothing in here touches the library's own code paths: the edit-distance
 oracles are top-down recursion over the three-way recurrence and the
 two-row DP that the bit-parallel distance replaced, the gradient oracle is
 central finite differences, the grid oracles check and decode one grid, and
-one column, at a time, and the kernel oracles are the np.where and
-broadcast-copy forms of autodiff's leaky ReLU, tile and softmax shift.
+one column, at a time, the kernel oracles are the np.where and
+broadcast-copy forms of autodiff's leaky ReLU, tile and softmax shift, the
+corpus oracles draw a word one letter at a time and render one image at a
+time on its own canvas, and the PGM reader reads gen-data's files back.
 """
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 
 from edsurrogate import autodiff as ad
-from edsurrogate.errors import ShapeError
+from edsurrogate.errors import CapacityError, ShapeError
+from edsurrogate.recognizer import WordImage
+from edsurrogate.synth_data import LABELS_FILE, META_FILE, DatasetConfig, glyph_bitmap
 from edsurrogate.text_metrics import CharGrid, _checked, encode_batch
 
 
@@ -165,3 +172,79 @@ def broadcast_softmax_columns(a):
     shift = ad.DiffNode(np.broadcast_to(a.values.max(axis=0, keepdims=True), a.shape).copy())
     e = ad.exp(ad.sub(a, shift))
     return ad.div(e, ad.tile_axis(ad.sum_axis(e, 0), 0, a.shape[0]))
+
+
+def sample_word(cfg: DatasetConfig, rng) -> str:
+    """synth_data.sample_word with one rng.integers call per letter."""
+    length = int(rng.integers(1, cfg.capacity + 1))
+    letters = cfg.alphabet.symbols[1:]
+    return "".join(letters[rng.integers(len(letters))] for _ in range(length))
+
+
+def render_word(word: str, cfg: DatasetConfig, rng) -> WordImage:
+    """One image on its own zero canvas: each character's glyph_bitmap in its
+    shifted cell, then the noise drawn after the shift, then the clip."""
+    cfg.alphabet.validate_word(word)
+    if len(word) > cfg.capacity:
+        raise CapacityError(f"word {word!r} exceeds capacity {cfg.capacity}")
+    canvas = np.zeros((cfg.image_height, cfg.image_width))
+    shift = int(rng.integers(0, cfg.shift_range + 1)) if cfg.shift_range else 0
+    for slot, char in enumerate(word):
+        col = slot * cfg.cell_width + shift
+        canvas[:, col : col + cfg.glyph_width] = glyph_bitmap(cfg.alphabet.index_of(char), cfg)
+    if cfg.noise_std > 0:
+        canvas = canvas + rng.normal(0.0, cfg.noise_std, canvas.shape)
+    return WordImage(np.clip(canvas, 0.0, 1.0), word)
+
+
+def per_image_corpus(cfg: DatasetConfig) -> list[WordImage]:
+    """synth_data.sample_corpus one image at a time: image i is
+    render_word(sample_word(rng), rng) with rng = default_rng([seed, i])."""
+    images = []
+    for index in range(cfg.corpus_size):
+        rng = np.random.default_rng([cfg.seed, index])
+        images.append(render_word(sample_word(cfg, rng), cfg, rng))
+    return images
+
+
+def parse_pgm(blob: bytes) -> np.ndarray:
+    """Pixels in [0, 1] of an 8-bit binary (P5) graymap; ValueError otherwise."""
+    fields: list[bytes] = []
+    pos = 0
+    while len(fields) < 4:
+        while pos < len(blob) and blob[pos : pos + 1].isspace():
+            pos += 1
+        if blob[pos : pos + 1] == b"#":
+            while pos < len(blob) and blob[pos : pos + 1] != b"\n":
+                pos += 1
+            continue
+        start = pos
+        while pos < len(blob) and not blob[pos : pos + 1].isspace():
+            pos += 1
+        fields.append(blob[start:pos])
+    if fields[0] != b"P5" or fields[3] != b"255":
+        raise ValueError("expected an 8-bit P5 graymap")
+    w, h = int(fields[1]), int(fields[2])
+    if w < 1 or h < 1:
+        raise ValueError(f"graymap size {w}x{h} is not positive")
+    raster = blob[pos + 1 : pos + 1 + w * h]
+    if len(raster) != w * h:
+        raise ValueError("truncated graymap raster")
+    return np.frombuffer(raster, dtype=np.uint8).reshape(h, w) / 255.0
+
+
+def load_dataset(directory) -> tuple[list[WordImage], DatasetConfig]:
+    """The images and config that synth_data.save_dataset wrote to directory."""
+    directory = Path(directory)
+    cfg = DatasetConfig.from_dict(
+        json.loads((directory / META_FILE).read_text(encoding="utf-8"))
+    )
+    images = []
+    rows = (directory / LABELS_FILE).read_text(encoding="utf-8").splitlines()
+    for row in rows[1:]:
+        index, filename, word = row.split("\t")
+        pixels = parse_pgm((directory / filename).read_bytes())
+        images.append(WordImage(pixels, word))
+        if int(index) != len(images) - 1:
+            raise ValueError("label rows out of order")
+    return images, cfg

@@ -15,7 +15,8 @@ from edsurrogate.evaluation import (
 )
 from edsurrogate.params import load_checkpoint, save_checkpoint
 from edsurrogate.recognizer import RecognizerConfig, RecognizerNet, save_recognizer
-from edsurrogate.synth_data import load_dataset
+
+from .oracles import load_dataset
 
 TINY = {
     "seed": 3,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from edsurrogate import autodiff as ad
-from edsurrogate.errors import ConfigError
+from edsurrogate.errors import ConfigError, NumericError, ShapeError
 from edsurrogate.recognizer import (
     RecognizerConfig,
     RecognizerNet,
@@ -42,6 +42,33 @@ def test_config_validation():
             )
     with pytest.raises(ValueError):
         WordImage(np.full((2, 2), 1.5), "a")
+
+
+@pytest.mark.parametrize(
+    "pixels, error",
+    [
+        ([[np.nan, 0.5]], NumericError),
+        ([[0.5, np.inf]], NumericError),
+        ([[-np.inf, 0.5]], NumericError),
+        ([[-5.0, np.nan]], NumericError),
+        ([[np.nan, -5.0]], NumericError),
+        ([[0.5, 1.5]], ValueError),
+        ([[-0.1, 0.5]], ValueError),
+        ([[-0.0, 0.0, 1.0]], None),
+        ([0.5, 0.5], ShapeError),
+        ([[[0.5]]], ShapeError),
+    ],
+    ids=["nan", "+inf", "-inf", "-5-nan", "nan--5", "1.5", "-0.1", "zeros-one", "1d", "3d"],
+)
+def test_word_image_raises_exactly_its_error_type(pixels, error):
+    # NumericError and ShapeError subclass ValueError, so compare types exactly.
+    if error is None:
+        image = WordImage(np.array(pixels), "a")
+        assert image.pixels.tobytes() == np.array(pixels).tobytes()
+        return
+    with pytest.raises(ValueError) as raised:
+        WordImage(np.array(pixels), "a")
+    assert type(raised.value) is error
 
 
 def test_output_columns_are_stochastic():

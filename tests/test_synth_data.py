@@ -1,26 +1,24 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edsurrogate import synth_data
 from edsurrogate.errors import CapacityError, ConfigError
 from edsurrogate.synth_data import (
     DatasetConfig,
-    _parse_pgm,
     glyph_bitmap,
-    load_dataset,
     mutate_word,
     random_pair_generator,
-    render_word,
     sample_corpus,
     sample_word,
     save_dataset,
     split_corpus,
 )
-from edsurrogate.text_metrics import edit_distance
+from edsurrogate.text_metrics import Alphabet, edit_distance
 
-from .oracles import recursive_edit_distance
+from . import oracles
+from .oracles import load_dataset, parse_pgm, recursive_edit_distance
 
 CFG = DatasetConfig.desk()
 SMALL = DatasetConfig.desk(corpus_size=10)
@@ -42,42 +40,28 @@ def test_config_dict_round_trip():
     assert DatasetConfig.from_dict(CFG.to_dict()) == CFG
 
 
-def test_render_deterministic():
-    a = render_word("abc", CFG, np.random.default_rng(5))
-    b = render_word("abc", CFG, np.random.default_rng(5))
-    assert a.pixels.tobytes() == b.pixels.tobytes()
-    assert a.label == "abc"
+def test_render_deterministic(monkeypatch):
+    monkeypatch.setattr(synth_data, "sample_word", lambda cfg, rng: "abc")
+    a, b = sample_corpus(SMALL), sample_corpus(SMALL)
+    assert [w.pixels.tobytes() for w in a] == [w.pixels.tobytes() for w in b]
+    assert {w.label for w in a} == {"abc"}
 
 
 def test_render_without_noise_is_pure_glyph_composition():
-    cfg = DatasetConfig.desk(noise_std=0.0, shift_range=0)
-    image = render_word("ab", cfg, np.random.default_rng(0))
-    expected = np.zeros((cfg.image_height, cfg.image_width))
-    for slot, char in enumerate("ab"):
-        col = slot * cfg.cell_width
-        expected[:, col : col + cfg.glyph_width] = glyph_bitmap(
-            cfg.alphabet.index_of(char), cfg
-        )
-    assert np.array_equal(image.pixels, expected)
+    cfg = DatasetConfig.desk(noise_std=0.0, shift_range=0, corpus_size=20)
+    for image in sample_corpus(cfg):
+        expected = np.zeros((cfg.image_height, cfg.image_width))
+        for slot, char in enumerate(image.label):
+            col = slot * cfg.cell_width
+            expected[:, col : col + cfg.glyph_width] = glyph_bitmap(
+                cfg.alphabet.index_of(char), cfg
+            )
+        assert np.array_equal(image.pixels, expected)
 
 
 def reference_corpus(cfg: DatasetConfig) -> list[tuple[str, bytes]]:
-    """sample_corpus composed from glyph_bitmap per character, drawing the
-    word, the shift and the noise in that order from rng([seed, i])."""
-    samples = []
-    for index in range(cfg.corpus_size):
-        rng = np.random.default_rng([cfg.seed, index])
-        word = sample_word(cfg, rng)
-        canvas = np.zeros((cfg.image_height, cfg.image_width))
-        shift = int(rng.integers(0, cfg.shift_range + 1)) if cfg.shift_range else 0
-        for slot, char in enumerate(word):
-            col = slot * cfg.cell_width + shift
-            canvas[:, col : col + cfg.glyph_width] = glyph_bitmap(
-                cfg.alphabet.index_of(char), cfg
-            )
-        canvas = canvas + rng.normal(0.0, cfg.noise_std, canvas.shape)
-        samples.append((word, np.clip(canvas, 0.0, 1.0).tobytes()))
-    return samples
+    """The oracle's corpus: per letter word draws, one canvas per image."""
+    return [(w.label, w.pixels.tobytes()) for w in oracles.per_image_corpus(cfg)]
 
 
 def test_corpus_matches_glyph_by_glyph_reference_across_configs():
@@ -92,6 +76,62 @@ def test_corpus_matches_glyph_by_glyph_reference_across_configs():
         assert rendered == reference_corpus(cfg), cfg
 
 
+@st.composite
+def dataset_configs(draw) -> DatasetConfig:
+    """Accepted configs of up to 4 slots, with any slack and letters drawn
+    from all of Unicode but the separators that DatasetConfig rejects."""
+    capacity, glyph_width = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    slack = draw(st.integers(0, 2))
+    symbols = draw(
+        st.lists(
+            st.characters(exclude_characters=",\t\r\n"), min_size=2, max_size=6, unique=True
+        )
+    )
+    return DatasetConfig(
+        alphabet=Alphabet(tuple(symbols)),
+        capacity=capacity,
+        image_height=draw(st.integers(1, 5)),
+        image_width=capacity * (glyph_width + slack),
+        glyph_width=glyph_width,
+        corpus_size=draw(st.integers(1, 2 * synth_data._BLOCK_IMAGES + 5)),
+        noise_std=draw(st.sampled_from([0.0, 0.05, 0.4, 3.0])),
+        shift_range=draw(st.integers(0, slack)),
+        seed=draw(st.integers(0, 2**53)),
+        glyph_seed=draw(st.integers(0, 2**32)),
+    )
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(dataset_configs())
+@example(DatasetConfig.desk(corpus_size=1))
+@example(DatasetConfig.desk(corpus_size=1, noise_std=0.0, shift_range=0))
+@example(DatasetConfig.desk(corpus_size=2 * synth_data._BLOCK_IMAGES + 3))
+@example(DatasetConfig.desk(capacity=1, image_width=5, shift_range=2, corpus_size=9))
+@example(DatasetConfig.desk(alphabet="_aé中😀", noise_std=0.0, corpus_size=30))
+def test_corpus_equals_the_per_image_oracle(cfg):
+    rendered = [(w.label, w.pixels.tobytes()) for w in sample_corpus(cfg)]
+    assert rendered == reference_corpus(cfg)
+
+
+def test_pair_generator_is_unchanged_with_the_per_letter_word_oracle(monkeypatch):
+    def pairs():
+        rng = np.random.default_rng(11)
+        return [random_pair_generator(CFG, rng) for _ in range(300)], rng.integers(2**63)
+
+    shipped = pairs()
+    monkeypatch.setattr(synth_data, "sample_word", oracles.sample_word)
+    assert pairs() == shipped
+
+
+def test_corpus_pixels_are_read_only_through_every_view():
+    for image in sample_corpus(SMALL):
+        with pytest.raises(ValueError):
+            image.pixels[0, 0] = 0.5
+        assert image.pixels.base is not None  # a row of the corpus block
+        with pytest.raises(ValueError):
+            image.pixels.base[...] = 0.5
+
+
 def test_cached_glyphs_are_read_only_and_equal_the_definition():
     table = synth_data._glyph_table(CFG)
     assert not table.flags.writeable
@@ -101,16 +141,14 @@ def test_cached_glyphs_are_read_only_and_equal_the_definition():
         assert np.array_equal(table[index], glyph_bitmap(index, CFG))
 
 
-def test_render_rejects_overlong_word():
+def test_render_rejects_overlong_word(monkeypatch):
+    monkeypatch.setattr(synth_data, "sample_word", lambda cfg, rng: "a" * (cfg.capacity + 1))
     with pytest.raises(CapacityError):
-        render_word("a" * (CFG.capacity + 1), CFG, np.random.default_rng(0))
+        sample_corpus(SMALL)
 
 
 def test_pixel_mean_is_moderate():
-    rng = np.random.default_rng(1)
-    means = [
-        render_word(sample_word(CFG, rng), CFG, rng).pixels.mean() for _ in range(100)
-    ]
+    means = [image.pixels.mean() for image in sample_corpus(DatasetConfig.desk(corpus_size=100))]
     assert 0.05 <= np.mean(means) <= 0.95
 
 
@@ -210,13 +248,13 @@ def test_dataset_files_are_byte_stable(tmp_path):
 @pytest.mark.parametrize("blob", [b"P5 0 3 255\n", b"P5 -1 -1 255\nx", b"P5 3 0 255\n"])
 def test_parse_pgm_rejects_sizes_below_one(blob):
     with pytest.raises(ValueError, match="not positive"):
-        _parse_pgm(blob)
+        parse_pgm(blob)
 
 
 def _parsed_or_rejected(blob: bytes):
-    """The parsed pixels, or None when _parse_pgm raised its ValueError."""
+    """The parsed pixels, or None when parse_pgm raised its ValueError."""
     try:
-        pixels = _parse_pgm(blob)
+        pixels = parse_pgm(blob)
     except ValueError:
         return None
     assert pixels.ndim == 2 and pixels.size > 0
