@@ -60,9 +60,6 @@ class DiffNode:
     def item(self) -> float:
         return float(self.values)
 
-    def detach(self) -> "DiffNode":
-        return DiffNode(self.values)
-
     def __repr__(self):
         return (
             f"DiffNode(op={_op_name(self.vjp)!r}, shape={self.shape}, grad={self.requires_grad})"
@@ -163,16 +160,6 @@ def leaky_relu(a, slope=0.01):
 def clamp_min(a, floor):
     """max(a, floor); zero sub-gradient on the clamped region."""
     return DiffNode(np.maximum(a.values, float(floor)), _vjp_clamp_min, (a,), meta=float(floor))
-
-
-def clip_max(a, ceiling):
-    """min(a, ceiling); zero sub-gradient on the clipped region (incl. boundary)."""
-    return DiffNode(np.minimum(a.values, float(ceiling)), _vjp_clip_max, (a,), meta=float(ceiling))
-
-
-def abs_val(a):
-    """|a| with sign sub-gradient (0 at the kink)."""
-    return DiffNode(np.abs(a.values), _vjp_abs_val, (a,))
 
 
 def mul_const(a, factor):
@@ -365,16 +352,6 @@ def _vjp_clamp_min(node, g, needed):
     return (mul_const(g, (a.values > node.meta).astype(np.float64)),)
 
 
-def _vjp_clip_max(node, g, needed):
-    (a,) = node.parents
-    return (mul_const(g, (a.values < node.meta).astype(np.float64)),)
-
-
-def _vjp_abs_val(node, g, needed):
-    (a,) = node.parents
-    return (mul_const(g, np.sign(a.values)),)
-
-
 def _vjp_mul_const(node, g, needed):
     return (mul_const(g, node.meta),)
 
@@ -444,11 +421,6 @@ def _vjp_conv_weight_grad(node, g, needed):
 # Composite ops used by both networks.
 # ---------------------------------------------------------------------------
 
-def l2_norm_eps(a, eps=EPS_NORM):
-    """sqrt(sum(a^2) + eps): Euclidean norm differentiable at 0."""
-    return sqrt(add_scalar(sum_all(square(a)), eps))
-
-
 def softmax_columns(a):
     """Column-wise softmax of a 2-d node (stable via constant max shift)."""
     _require_2d(a, "softmax_columns")
@@ -489,7 +461,7 @@ def segment_sum(a, segments):
 
 
 def segment_norms(a, segments, eps=EPS_NORM):
-    """(C, S*w) -> (1, S): l2_norm_eps of each w-wide column block."""
+    """(C, S*w) -> (1, S): sqrt(sum(a^2) + eps) of each w-wide column block."""
     return sqrt(add_scalar(sum_axis(segment_sum(square(a), segments), 0), eps))
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,10 +37,9 @@ from .training import (
     PhaseLogRecord,
     PostTuningResult,
     TrainConfig,
-    _dataset_fields,
-    _net_config,
     build_recognizer,
     build_surrogate,
+    net_config,
     pretrain_recognizer,
     run_post_tuning,
 )
@@ -104,17 +103,14 @@ def _configs(args) -> tuple[dict, DatasetConfig, TrainConfig]:
     dcfg = DatasetConfig.desk(**layered("dataset", "seed"))
     cfg = TrainConfig.desk(**layered("train", "seed", "mode", "epochs", "lam"))
     for config_class, name in ((RecognizerConfig, "recognizer"), (SurrogateConfig, "surrogate")):
-        _net_config(config_class, name, dcfg, dcfg.seed, data.get(name))
+        net_config(config_class, name, dcfg, dcfg.seed, data.get(name))
     return data, dcfg, cfg
 
 
 def _load_recognizer(path: str, dcfg: DatasetConfig) -> RecognizerNet:
     """The recognizer checkpoint at path, which must fit dcfg's images and alphabet."""
     net = load_recognizer(path)
-    for name, value in _dataset_fields(RecognizerConfig, dcfg).items():
-        if getattr(net.config, name) != value:
-            saved = getattr(net.config, name)
-            raise ConfigError(f"checkpoint {path} has {name} {saved}, but the dataset has {value}")
+    net_config(RecognizerConfig, f"checkpoint {path}", dcfg, net.config.seed, asdict(net.config))
     return net
 
 

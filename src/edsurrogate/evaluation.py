@@ -13,7 +13,7 @@ from .blas import one_blas_thread
 from .errors import ConfigError
 from .recognizer import RecognizerNet, WordImage, forward
 from .text_metrics import Alphabet, MetricsReport, decode_greedy, evaluate_set
-from .training import PHASE_RECOGNIZER, PhaseLogRecord
+from .training import PHASE_PRETRAIN, PHASE_RECOGNIZER, PHASE_SURROGATE, PhaseLogRecord
 
 LOG_HEADER = "epoch,phase,iteration,sample_index,e,e_hat,loss,gate_open"
 METRICS_HEADER = "sample_index,gt,pred,ed"
@@ -66,17 +66,16 @@ def write_metrics_csv(path, report: MetricsReport) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _read_rows(path, header: str, parse, skip: int = 0) -> tuple[list[str], list]:
-    """The `skip` lines before the file's header line, and parse(*fields) of
-    each row after it. A row that does not parse raises ValueError naming
-    path:line."""
+def _read_rows(path, header: str, parse) -> list:
+    """parse(*fields) of each row after the file's header line. A row that
+    does not parse raises ValueError naming path:line."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if len(lines) <= skip:
+    if not lines:
         raise ValueError(f"{path}: no header line, expected {header!r}")
-    if lines[skip] != header:
-        raise ValueError(f"{path}: unexpected header {lines[skip]!r}")
+    if lines[0] != header:
+        raise ValueError(f"{path}: unexpected header {lines[0]!r}")
     width, rows = header.count(",") + 1, []
-    for number, line in enumerate(lines[skip + 1 :], start=skip + 2):
+    for number, line in enumerate(lines[1:], start=2):
         values = line.split(",")
         try:
             if len(values) != width:
@@ -84,14 +83,14 @@ def _read_rows(path, header: str, parse, skip: int = 0) -> tuple[list[str], list
             rows.append(parse(*values))
         except ValueError as exc:
             raise ValueError(f"{path}:{number}: {exc}") from None
-    return lines[:skip], rows
+    return rows
 
 
 def read_metrics_csv(path) -> list[tuple[int, str, str, int]]:
     def parse(index, gt, pred, ed):
         return int(index), gt, pred, int(ed)
 
-    return _read_rows(path, METRICS_HEADER, parse)[1]
+    return _read_rows(path, METRICS_HEADER, parse)
 
 
 def write_log_csv(path, records: list[PhaseLogRecord]) -> None:
@@ -106,8 +105,12 @@ def write_log_csv(path, records: list[PhaseLogRecord]) -> None:
 
 def read_log_csv(path) -> list[PhaseLogRecord]:
     def parse(epoch, phase, iteration, sample_index, e, e_hat, loss, gate):
+        if phase not in (PHASE_PRETRAIN, PHASE_SURROGATE, PHASE_RECOGNIZER):
+            raise ValueError(f"unknown phase {phase!r}")
         if int(e) < 0:
             raise ValueError(f"edit distance e must be >= 0, got {e}")
+        if gate not in ("0", "1"):
+            raise ValueError(f"gate_open must be 0 or 1, got {gate!r}")
         return PhaseLogRecord(
             epoch=int(epoch),
             phase=phase,
@@ -116,10 +119,10 @@ def read_log_csv(path) -> list[PhaseLogRecord]:
             e=int(e),
             e_hat=float(e_hat),
             loss=float(loss),
-            gate_open=bool(int(gate)),
+            gate_open=gate == "1",
         )
 
-    return _read_rows(path, LOG_HEADER, parse)[1]
+    return _read_rows(path, LOG_HEADER, parse)
 
 
 def scatter_rows(
@@ -147,16 +150,6 @@ def export_scatter(
     for r in rows:
         lines.append(f"{int(r.e)},{r.e_hat!r},{r.iteration}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_scatter_csv(path) -> tuple[float, list[tuple[int, float, int]]]:
-    def parse(e, e_hat, iteration):
-        return int(e), float(e_hat), int(iteration)
-
-    (meta,), rows = _read_rows(path, SCATTER_HEADER, parse, skip=1)
-    if not meta.startswith("# lambda="):
-        raise ValueError(f"{path}:1: missing lambda metadata line")
-    return float(meta.split("=", 1)[1]), rows
 
 
 def in_band_fraction(

@@ -28,7 +28,6 @@ from .params import (
     save_checkpoint,
     tensor_shape,
 )
-from .text_metrics import CharGrid
 
 CONV_LAYERS = 5
 
@@ -61,7 +60,7 @@ class SurrogateConfig:
 
 
 class SurrogateNet:
-    """Five conv1d layers + two FC layers over CharGrid inputs."""
+    """Five conv1d layers + two FC layers over one-hot or soft grids."""
 
     def __init__(self, config: SurrogateConfig):
         self.config = config
@@ -79,20 +78,9 @@ class SurrogateNet:
         self.params.add_uniform("fc2.weight", rng, (out_dim, hidden), hidden)
         self.params.add_uniform("fc2.bias", rng, (out_dim, 1), hidden)
 
-    @property
-    def embedding_dim(self) -> int:
-        return self.config.embedding_dim
 
-
-def _as_grid_node(grids, config: SurrogateConfig) -> DiffNode:
-    """One node holding the grids side by side: a sequence of CharGrids, or
-    a DiffNode that already holds B grids."""
-    if isinstance(grids, DiffNode):
-        node = grids
-    elif isinstance(grids, Sequence) and grids and all(isinstance(g, CharGrid) for g in grids):
-        node = ad.constant(np.concatenate([g.values for g in grids], axis=1))
-    else:
-        raise TypeError("expected a non-empty sequence of CharGrids, or a DiffNode")
+def _as_grid_node(node: DiffNode, config: SurrogateConfig) -> DiffNode:
+    """node, once its shape is checked to hold B >= 1 grids side by side."""
     if (
         node.ndim != 2
         or node.shape[0] != config.alphabet_size
@@ -106,10 +94,9 @@ def _as_grid_node(grids, config: SurrogateConfig) -> DiffNode:
     return node
 
 
-def embed(grids, net: SurrogateNet) -> DiffNode:
-    """Deterministic (E, B) embedding of B grids, one column each,
-    differentiable in grids and weights. grids is a sequence of B CharGrids
-    or a DiffNode holding B grids side by side."""
+def embed(grids: DiffNode, net: SurrogateNet) -> DiffNode:
+    """Deterministic (E, B) embedding of the B grids held side by side in an
+    (|A|, B*L) node, one column each, differentiable in grids and weights."""
     config = net.config
     x = _as_grid_node(grids, config)
     batch = x.shape[1] // config.capacity
@@ -126,7 +113,7 @@ def embed(grids, net: SurrogateNet) -> DiffNode:
     return ad.linear(net.params.node("fc2.weight"), h, net.params.node("fc2.bias"))
 
 
-def distance_row(z_hat, y_embedding: DiffNode, net: SurrogateNet) -> DiffNode:
+def distance_row(z_hat: DiffNode, y_embedding: DiffNode, net: SurrogateNet) -> DiffNode:
     """(1, B) row of Euclidean distances between the embeddings of the B
     grids in z_hat and the B columns of y_embedding."""
     diff = ad.sub(embed(z_hat, net), y_embedding)
@@ -142,7 +129,7 @@ class SurrogateLossParts:
 
 
 def surrogate_loss_parts(
-    z_hat, y_hat, e: Sequence[int], net: SurrogateNet, w1: float, w2: float
+    z_hat: DiffNode, y_hat: DiffNode, e: Sequence[int], net: SurrogateNet, w1: float, w2: float
 ) -> SurrogateLossParts:
     """(1, B) rows of the loss w1*(e_hat - e)^2 + w2*(||d e_hat/d z||_2 - 1)^2
     and its pieces, for B distances e, B predicted grids z_hat and B target

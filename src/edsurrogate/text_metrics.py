@@ -13,9 +13,6 @@ import numpy as np
 
 from .errors import CapacityError, EncodingError, ShapeError
 
-PAD_CHAR = "_"
-DEFAULT_SYMBOLS = PAD_CHAR + "abcdefghijklmnopqrstuvwxyz0123456789"
-
 COLUMN_SUM_TOL = 1e-6
 
 
@@ -39,17 +36,8 @@ class Alphabet:
     def from_string(cls, symbols: str) -> "Alphabet":
         return cls(tuple(symbols))
 
-    @classmethod
-    def default(cls) -> "Alphabet":
-        """Pad + 26 lowercase letters + 10 digits (37 symbols)."""
-        return cls.from_string(DEFAULT_SYMBOLS)
-
     def __len__(self) -> int:
         return len(self.symbols)
-
-    @property
-    def pad_char(self) -> str:
-        return self.symbols[self.pad_index]
 
     def index_of(self, char: str) -> int:
         try:
@@ -78,16 +66,6 @@ def _checked(values, count: int = 1) -> np.ndarray:
     if np.any(np.abs(values.sum(axis=0) - 1.0) > COLUMN_SUM_TOL):
         raise ShapeError("grid columns must each sum to 1")
     return values
-
-
-@dataclass(frozen=True)
-class CharGrid:
-    """|A| x L column-stochastic matrix: one column per character slot."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _checked(self.values))
 
 
 def is_one_hot(values: np.ndarray) -> bool:

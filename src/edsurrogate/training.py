@@ -1,6 +1,6 @@
 """Alternating post-tuning: surrogate regression phases interleaved with
-filtered recognizer tuning, plus the optimizer, the filtering function and the
-factories that size fresh nets for a dataset.
+filtered recognizer tuning, plus the optimizer and the factories that size
+fresh nets for a dataset.
 
 Modes: "feds" gates each recognizer update on the surrogate's per-sample
 approximation error; "lsed" trains without the gate and feeds the surrogate
@@ -50,12 +50,20 @@ PHASE_SURROGATE = "surrogate"
 PHASE_RECOGNIZER = "recognizer"
 
 MODES = ("feds", "lsed")
-GATE_MODES = ("gated", "literal")
 
 GENERATED_SAMPLE_INDEX = -1
 
 ADADELTA_RHO = 0.95  # decay of both running averages
 ADADELTA_EPS = 1e-6
+
+# (key, test, what the test wants) of each TrainConfig range check, in check order
+_TRAIN_RANGES = (
+    ("seed", lambda v: 0 <= v <= MAX_EXACT_SEED, "lie in [0, 2**53]"),
+    *((key, lambda v: v >= 1, "be >= 1")
+      for key in ("i_a", "i_b", "epochs", "batch_size", "pretrain_iterations")),
+    *((key, lambda v: v > 0, "be > 0") for key in ("lam", "eta_a", "eta_b", "eta_pre", "w1")),
+    ("w2", lambda v: v >= 0, "be >= 0"),
+)
 
 
 @dataclass(frozen=True)
@@ -76,22 +84,11 @@ class TrainConfig:
 
     def __post_init__(self):
         check_field_types("train", self)
-        if not 0 <= self.seed <= MAX_EXACT_SEED:
-            raise ConfigError(f"train key 'seed' must lie in [0, 2**53], got {self.seed}")
-        if self.i_a < 1 or self.i_b < 1 or self.epochs < 1:
-            raise ConfigError("i_a, i_b and epochs must be >= 1")
-        if not self.lam > 0:
-            raise ConfigError("lambda must be > 0")
-        if self.batch_size < 1 or self.pretrain_iterations < 1:
-            raise ConfigError("batch_size and pretrain_iterations must be >= 1")
-        if not (self.eta_a > 0 and self.eta_b > 0 and self.eta_pre > 0):
-            raise ConfigError("learning rates must be positive")
+        for key, test, wanted in _TRAIN_RANGES:
+            if not test(value := getattr(self, key)):
+                raise ConfigError(f"train key {key!r} must {wanted}, got {value!r}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
-        if not self.w1 > 0:
-            raise ConfigError("w1 must be > 0")
-        if not self.w2 >= 0:
-            raise ConfigError("w2 must be >= 0")
 
     @classmethod
     def desk(cls, /, **overrides) -> "TrainConfig":
@@ -122,16 +119,6 @@ class PhaseLogRecord:
 
 # --- filtering --------------------------------------------------------------
 
-def filter_value(e, e_hat: DiffNode, lam: float) -> DiffNode:
-    """min(|e_hat - e|, lam) for a (1, B) row e_hat and B distances e. The
-    clipped branch, including the |err| = lam boundary, carries a zero
-    sub-gradient."""
-    if not lam > 0:
-        raise ConfigError("lambda must be > 0")
-    e_values = ad.constant(np.reshape(np.asarray(e, dtype=np.float64), e_hat.shape))
-    return ad.clip_max(ad.abs_val(ad.sub(e_hat, e_values)), lam)
-
-
 @dataclass(frozen=True)
 class FilteredLossParts:
     loss: DiffNode
@@ -140,12 +127,10 @@ class FilteredLossParts:
 
 
 def filtered_str_loss_parts(
-    z_hat, y_embedding: DiffNode, e, net: SurrogateNet, lam: float, gate_mode: str = "gated"
+    z_hat: DiffNode, y_embedding: DiffNode, e, net: SurrogateNet, lam: float
 ) -> FilteredLossParts:
-    """Tuning loss. Gated mode, the one training uses, trains on e_hat itself
-    with the gate indicator held constant; literal mode differentiates
-    min(|err|, lam) as written. Both give exactly zero gradient once
-    |e_hat - e| >= lam.
+    """Tuning loss: e_hat itself with the gate indicator |e_hat - e| < lam
+    held constant, so the gradient is exactly zero once |e_hat - e| >= lam.
 
     B distances e, with B predicted grids side by side in z_hat and the
     (E, B) embedding of the B target grids under net, give (1, B) rows of
@@ -153,17 +138,12 @@ def filtered_str_loss_parts(
     """
     if not lam > 0:
         raise ConfigError("lambda must be > 0")
-    if gate_mode not in GATE_MODES:
-        raise ConfigError(f"gate_mode must be one of {GATE_MODES}")
     e_hat = distance_row(z_hat, y_embedding, net)
     e_values = np.asarray(e, dtype=np.float64).reshape(1, -1)
     if e_values.shape != e_hat.shape:
         raise ShapeError(f"{e_values.size} edit distances for {e_hat.shape[1]} samples")
     gates = np.abs(e_hat.values - e_values) < lam
-    if gate_mode == "gated":
-        loss = ad.mul(e_hat, ad.constant(gates.astype(np.float64)))
-    else:
-        loss = filter_value(e, e_hat, lam)
+    loss = ad.mul(e_hat, ad.constant(gates.astype(np.float64)))
     return FilteredLossParts(loss=loss, e_hat=e_hat, gate_open=tuple(gates[0].tolist()))
 
 
@@ -359,21 +339,22 @@ class PostTuningResult:
     logs: list[PhaseLogRecord]
 
 
-def _dataset_fields(config_class, dcfg: DatasetConfig) -> dict:
-    """The fields of a net's config_class that dcfg's images and alphabet fix."""
+def net_config(config_class, source: str, dcfg: DatasetConfig, seed: int, values=None):
+    """config_class sized for dcfg's images and alphabet and seeded with seed,
+    overridden by values: the keys of a config file section, or a loaded
+    net's config. A value that dcfg fixes must equal dcfg's; ConfigError
+    names source otherwise, and for a key config_class does not have."""
+    values = dict(values or {})
+    reject_unknown_keys(source, values, [f.name for f in fields(config_class)])
     sizes = {name: getattr(dcfg, name) for name in ("capacity", "image_height", "image_width")}
     sizes["alphabet_size"] = len(dcfg.alphabet)
-    return {f.name: sizes[f.name] for f in fields(config_class) if f.name in sizes}
-
-
-def _net_config(config_class, section: str, dcfg: DatasetConfig, seed: int, overrides):
-    """config_class sized for dcfg and seeded with seed, overridden by the
-    keys of a config file section."""
-    values = dict(overrides or {})
-    reject_unknown_keys(section, values, [f.name for f in fields(config_class)])
+    for name in (f.name for f in fields(config_class) if f.name in sizes):
+        value = values.setdefault(name, sizes[name])
+        if value != sizes[name]:
+            raise ConfigError(f"{source} has {name} {value}, but the dataset has {sizes[name]}")
     if isinstance(values.get("channels"), list):
         values["channels"] = tuple(values["channels"])
-    return config_class(**{**_dataset_fields(config_class, dcfg), "seed": seed, **values})
+    return config_class(**{"seed": seed, **values})
 
 
 def build_recognizer(
@@ -381,7 +362,7 @@ def build_recognizer(
 ) -> RecognizerNet:
     """A fresh recognizer sized for dcfg's images and alphabet; overrides
     holds a config file's "recognizer" section."""
-    return RecognizerNet(_net_config(RecognizerConfig, "recognizer", dcfg, seed, overrides))
+    return RecognizerNet(net_config(RecognizerConfig, "recognizer", dcfg, seed, overrides))
 
 
 def build_surrogate(
@@ -389,7 +370,7 @@ def build_surrogate(
 ) -> SurrogateNet:
     """A fresh surrogate for dcfg's grids; overrides holds a config file's
     "surrogate" section."""
-    return SurrogateNet(_net_config(SurrogateConfig, "surrogate", dcfg, seed, overrides))
+    return SurrogateNet(net_config(SurrogateConfig, "surrogate", dcfg, seed, overrides))
 
 
 def run_post_tuning(

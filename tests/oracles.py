@@ -1,6 +1,7 @@
-"""Independent reference implementations used only to check the package.
+"""Independent reference implementations used only to check the package,
+and the test-only forms that the package does not ship.
 
-Nothing in here touches the library's own code paths: the edit-distance
+The oracles do not touch the library's own code paths: the edit-distance
 oracles are top-down recursion over the three-way recurrence and the
 two-row DP that the bit-parallel distance replaced, the gradient oracle is
 central finite differences, the grid oracles check and decode one grid, and
@@ -8,20 +9,32 @@ one column, at a time, the kernel oracles are the np.where and
 broadcast-copy forms of autodiff's leaky ReLU, tile and softmax shift, the
 corpus oracles draw a word one letter at a time and render one image at a
 time on its own canvas, and the PGM reader reads gen-data's files back.
+
+The test-only forms: CharGrid, one checked grid, with grid_node to lay a
+list of them side by side as the surrogate takes its input; the 37-symbol
+default alphabet; l2_norm_eps, the whole-array norm that
+autodiff.segment_norms takes per block; clip_max and abs_val; the paper's
+literal filtered loss min(|e_hat - e|, lam), filter_value and
+literal_loss_parts, set beside the shipped gated loss in LOSS_PARTS; and
+read_scatter_csv, which reads the scatter export back.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from edsurrogate import autodiff as ad
-from edsurrogate.errors import CapacityError, ShapeError
+from edsurrogate.errors import CapacityError, ConfigError, ShapeError
+from edsurrogate.evaluation import SCATTER_HEADER
 from edsurrogate.recognizer import WordImage
+from edsurrogate.surrogate import distance_row
 from edsurrogate.synth_data import LABELS_FILE, META_FILE, DatasetConfig, glyph_bitmap
-from edsurrogate.text_metrics import CharGrid, _checked, encode_batch
+from edsurrogate.text_metrics import Alphabet, _checked, encode_batch
+from edsurrogate.training import FilteredLossParts, filtered_str_loss_parts
 
 
 def recursive_edit_distance(a: str, b: str, memo=None) -> int:
@@ -139,6 +152,26 @@ def per_column_one_hot(word: str, alphabet, capacity: int) -> np.ndarray:
     return values
 
 
+def default_alphabet() -> Alphabet:
+    """Pad + 26 lowercase letters + 10 digits (37 symbols)."""
+    return Alphabet.from_string("_abcdefghijklmnopqrstuvwxyz0123456789")
+
+
+@dataclass(frozen=True)
+class CharGrid:
+    """|A| x L column-stochastic matrix: one column per character slot."""
+
+    values: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", _checked(self.values))
+
+
+def grid_node(grids: list[CharGrid]) -> ad.DiffNode:
+    """The grids side by side in one constant node, as embed takes them."""
+    return ad.constant(np.concatenate([g.values for g in grids], axis=1))
+
+
 def split_grids(values: np.ndarray, count: int) -> list[CharGrid]:
     """Cut an (|A|, count*L) array of side-by-side grids into count grids."""
     return [CharGrid(block) for block in np.split(_checked(values, count), count, axis=1)]
@@ -147,6 +180,69 @@ def split_grids(values: np.ndarray, count: int) -> list[CharGrid]:
 def encode_one_hot(word: str, alphabet, capacity: int) -> CharGrid:
     """One-hot grid for `word`, right-padded with pad-hot columns."""
     return CharGrid(encode_batch([word], alphabet, capacity))
+
+
+def l2_norm_eps(a, eps=ad.EPS_NORM):
+    """sqrt(sum(a^2) + eps): Euclidean norm of a whole node, differentiable at 0."""
+    return ad.sqrt(ad.add_scalar(ad.sum_all(ad.square(a)), eps))
+
+
+def clip_max(a, ceiling):
+    """min(a, ceiling); zero sub-gradient on the clipped region (incl. boundary)."""
+    values = np.minimum(a.values, float(ceiling))
+    return ad.DiffNode(values, _vjp_clip_max, (a,), meta=float(ceiling))
+
+
+def _vjp_clip_max(node, g, needed):
+    (a,) = node.parents
+    return (ad.mul_const(g, (a.values < node.meta).astype(np.float64)),)
+
+
+def abs_val(a):
+    """|a| with sign sub-gradient (0 at the kink)."""
+    return ad.DiffNode(np.abs(a.values), _vjp_abs_val, (a,))
+
+
+def _vjp_abs_val(node, g, needed):
+    (a,) = node.parents
+    return (ad.mul_const(g, np.sign(a.values)),)
+
+
+def filter_value(e, e_hat, lam: float):
+    """min(|e_hat - e|, lam) for a (1, B) row e_hat and B distances e. The
+    clipped branch, including the |err| = lam boundary, carries a zero
+    sub-gradient."""
+    if not lam > 0:
+        raise ConfigError("lambda must be > 0")
+    e_values = ad.constant(np.reshape(np.asarray(e, dtype=np.float64), e_hat.shape))
+    return clip_max(abs_val(ad.sub(e_hat, e_values)), lam)
+
+
+def literal_loss_parts(z_hat, y_embedding, e, net, lam: float) -> FilteredLossParts:
+    """training.filtered_str_loss_parts with the paper's filter as written:
+    the loss is filter_value's min(|e_hat - e|, lam), differentiated as is,
+    in place of e_hat under a constant gate. Its gradient is exactly zero
+    once |e_hat - e| >= lam, as the gated loss's is."""
+    e_hat = distance_row(z_hat, y_embedding, net)
+    loss = filter_value(e, e_hat, lam)
+    gates = np.abs(e_hat.values - np.asarray(e, dtype=np.float64).reshape(1, -1)) < lam
+    return FilteredLossParts(loss, e_hat, tuple(gates[0].tolist()))
+
+
+# The tuning loss that training ships, and the literal oracle, by name.
+LOSS_PARTS = {"gated": filtered_str_loss_parts, "literal": literal_loss_parts}
+
+
+def read_scatter_csv(path) -> tuple[float, list[tuple[int, float, int]]]:
+    """The lambda and the (e, e_hat, iteration) rows of an export_scatter file."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if len(lines) < 2 or not lines[0].startswith("# lambda=") or lines[1] != SCATTER_HEADER:
+        raise ValueError(f"{path}: expected a lambda line and the header {SCATTER_HEADER!r}")
+    rows = []
+    for line in lines[2:]:
+        e, e_hat, iteration = line.split(",")
+        rows.append((int(e), float(e_hat), int(iteration)))
+    return float(lines[0].split("=", 1)[1]), rows
 
 
 def where_leaky_relu(a, slope=0.01):

@@ -39,7 +39,6 @@ from edsurrogate.surrogate import (
 from edsurrogate.synth_data import DatasetConfig, sample_corpus, split_corpus
 from edsurrogate.text_metrics import (
     Alphabet,
-    CharGrid,
     decode_greedy,
     edit_distance,
 )
@@ -48,13 +47,19 @@ from edsurrogate.training import (
     TrainConfig,
     build_recognizer,
     build_surrogate,
-    filtered_str_loss_parts,
     pretrain_recognizer,
     run_post_tuning,
     train_surrogate_phase,
 )
 
-from .oracles import encode_one_hot, recursive_edit_distance, split_grids
+from .oracles import (
+    LOSS_PARTS,
+    CharGrid,
+    encode_one_hot,
+    grid_node,
+    recursive_edit_distance,
+    split_grids,
+)
 
 
 @contextmanager
@@ -158,14 +163,14 @@ def test_criterion_2_gradients_match_central_differences():
 
         # Embedding distance through the surrogate.
         snet = SurrogateNet(SUR_TINY)
-        z, y = _random_grid(rng), _random_grid(rng)
+        z, y = grid_node([_random_grid(rng)]), grid_node([_random_grid(rng)])
 
         def dist_recompute(arrays):
             probe = SurrogateNet(SUR_TINY)
             probe.params.load_arrays(arrays)
-            return ad.sum_all(distance_row([z], embed([y], probe), probe)).item()
+            return ad.sum_all(distance_row(z, embed(y, probe), probe)).item()
 
-        root = ad.sum_all(distance_row([z], embed([y], snet), snet))
+        root = ad.sum_all(distance_row(z, embed(y, snet), snet))
         grads = dict(
             zip(snet.params.names(), ad.backward(root, snet.params.nodes()))
         )
@@ -177,10 +182,10 @@ def test_criterion_2_gradients_match_central_differences():
             def term_recompute(arrays, term=term):
                 probe = SurrogateNet(SUR_TINY)
                 probe.params.load_arrays(arrays)
-                parts = surrogate_loss_parts([z], [y], [2], probe, 1.0, 0.1)
+                parts = surrogate_loss_parts(z, y, [2], probe, 1.0, 0.1)
                 return ad.sum_all(getattr(parts, term)).item()
 
-            parts = surrogate_loss_parts([z], [y], [2], snet, 1.0, 0.1)
+            parts = surrogate_loss_parts(z, y, [2], snet, 1.0, 0.1)
             root = ad.sum_all(getattr(parts, term))
             grads = dict(
                 zip(snet.params.names(), ad.backward(root, snet.params.nodes()))
@@ -203,20 +208,18 @@ def test_criterion_3_gate_zeroes_recognizer_gradients():
         (decoded,) = decode_greedy(z_node.values, 1, ALPHABET3)
 
         def theta_grads(y_label: str, lam: float, gate_mode: str):
-            y = encode_one_hot(y_label, ALPHABET3, REC_TINY.capacity)
+            y = grid_node([encode_one_hot(y_label, ALPHABET3, REC_TINY.capacity)])
             e = edit_distance(decoded, y_label)
-            parts = filtered_str_loss_parts(
-                forward(image, rnet), embed([y], snet), [e], snet, lam, gate_mode
-            )
+            parts = LOSS_PARTS[gate_mode](forward(image, rnet), embed(y, snet), [e], snet, lam)
             grads = ad.backward(ad.sum_all(parts.loss), rnet.params.nodes())
             (gate_open,) = parts.gate_open
             return gate_open, dict(zip(rnet.params.names(), grads))
 
         # A far-off target puts the pair well outside any narrow band.
         far = "bbbb" if not decoded.startswith("b") else "aaaa"
-        y = encode_one_hot(far, ALPHABET3, REC_TINY.capacity)
+        y = grid_node([encode_one_hot(far, ALPHABET3, REC_TINY.capacity)])
         e = edit_distance(decoded, far)
-        e_hat = distance_row([CharGrid(z_node.values)], embed([y], snet), snet)
+        e_hat = distance_row(grid_node([CharGrid(z_node.values)]), embed(y, snet), snet)
         gap = abs(e_hat.values.item() - e)
         assert gap >= 0.25
         for gate_mode in ("gated", "literal"):
@@ -239,12 +242,12 @@ def _held_out_fit(images, recognizer, surrogate, dcfg) -> float:
     gaps = []
     for image in images:
         if image.label not in targets:
-            targets[image.label] = encode_one_hot(
-                image.label, dcfg.alphabet, dcfg.capacity
+            targets[image.label] = grid_node(
+                [encode_one_hot(image.label, dcfg.alphabet, dcfg.capacity)]
             )
         (z,) = split_grids(forward([image], recognizer).values, 1)
         e = edit_distance(decode_greedy(z.values, 1, dcfg.alphabet)[0], image.label)
-        e_hat = distance_row([z], embed([targets[image.label]], surrogate), surrogate)
+        e_hat = distance_row(grid_node([z]), embed(targets[image.label], surrogate), surrogate)
         gaps.append(abs(e_hat.values.item() - e))
     return float(np.mean(gaps))
 

@@ -24,7 +24,7 @@ from edsurrogate.synth_data import DatasetConfig, random_pair_generator, sample_
 from edsurrogate.text_metrics import decode_greedy, edit_distance
 from edsurrogate.training import filtered_str_loss_parts
 
-from .oracles import encode_one_hot, split_grids
+from .oracles import LOSS_PARTS, encode_one_hot, grid_node, split_grids
 
 TOL = 1e-10
 DCFG = DatasetConfig.desk(corpus_size=40, seed=4)
@@ -117,11 +117,15 @@ def test_embed_batch_columns_equal_single_embeddings():
     net = SurrogateNet(SCFG)
     z, y, _ = lsed_mix(RecognizerNet(RCFG))
     grids = z + y
-    batch = embed(grids, net)
+    batch = embed(grid_node(grids), net)
     assert batch.shape == (SCFG.embedding_dim, len(grids))
-    assert_close(batch.values, np.concatenate([embed([g], net).values for g in grids], axis=1))
-    distances = distance_row(z, embed(y, net), net)
-    singles = [distance_row([a], embed([b], net), net).values.item() for a, b in zip(z, y)]
+    columns = [embed(grid_node([g]), net).values for g in grids]
+    assert_close(batch.values, np.concatenate(columns, axis=1))
+    distances = distance_row(grid_node(z), embed(grid_node(y), net), net)
+    singles = [
+        distance_row(grid_node([a]), embed(grid_node([b]), net), net).values.item()
+        for a, b in zip(z, y)
+    ]
     assert_close(distances.values[0], singles)
 
 
@@ -129,8 +133,11 @@ def test_embed_batch_columns_equal_single_embeddings():
 def test_surrogate_loss_batch_equals_loop_on_lsed_mix(w2):
     net = SurrogateNet(SCFG)
     z, y, e = lsed_mix(RecognizerNet(RCFG))
-    batch = surrogate_loss_parts(z, y, e, net, 1.0, w2)
-    singles = [surrogate_loss_parts([a], [b], [d], net, 1.0, w2) for a, b, d in zip(z, y, e)]
+    batch = surrogate_loss_parts(grid_node(z), grid_node(y), e, net, 1.0, w2)
+    singles = [
+        surrogate_loss_parts(grid_node([a]), grid_node([b]), [d], net, 1.0, w2)
+        for a, b, d in zip(z, y, e)
+    ]
     terms = ("loss", "e_hat", "fit") + (("penalty",) if w2 > 0 else ())
     for term in terms:
         row = getattr(batch, term)
@@ -157,7 +164,9 @@ def tuning_batch():
 
 
 def approximation_errors(rnet, snet, y, e):
-    probe = filtered_str_loss_parts(forward(IMAGES, rnet), embed(y, snet), e, snet, math.inf)
+    probe = filtered_str_loss_parts(
+        forward(IMAGES, rnet), embed(grid_node(y), snet), e, snet, math.inf
+    )
     return np.abs(probe.e_hat.values[0] - np.asarray(e))
 
 
@@ -177,12 +186,13 @@ def test_tuning_loss_batch_equals_loop(gate_mode, band):
     # An infinite band is how the lsed arm trains: every gate open.
     rnet, snet, y, e = tuning_batch()
     lam = math.inf if band == "infinite" else mixed_band(approximation_errors(rnet, snet, y, e))
-    batch = filtered_str_loss_parts(
-        forward(IMAGES, rnet), embed(y, snet).detach(), e, snet, lam, gate_mode
+    loss_parts = LOSS_PARTS[gate_mode]
+    batch = loss_parts(
+        forward(IMAGES, rnet), ad.constant(embed(grid_node(y), snet).values), e, snet, lam
     )
     singles = [
-        filtered_str_loss_parts(
-            forward(im, rnet), embed([t], snet).detach(), [d], snet, lam, gate_mode
+        loss_parts(
+            forward(im, rnet), ad.constant(embed(grid_node([t]), snet).values), [d], snet, lam
         )
         for im, t, d in zip(IMAGES, y, e)
     ]
@@ -205,8 +215,8 @@ def test_all_closed_batch_gives_exactly_zero_recognizer_gradient(gate_mode):
     errors = approximation_errors(rnet, snet, y, e)
     assert errors.min() > 0
     for lam in (errors.min() / 2, errors.min()):  # interior and exact boundary
-        parts = filtered_str_loss_parts(
-            forward(IMAGES, rnet), embed(y, snet), e, snet, lam, gate_mode
+        parts = LOSS_PARTS[gate_mode](
+            forward(IMAGES, rnet), embed(grid_node(y), snet), e, snet, lam
         )
         assert not any(parts.gate_open)
         assert all(np.all(g == 0.0) for g in batch_mean_grads(parts.loss, rnet.params))
@@ -216,11 +226,10 @@ def test_all_closed_batch_gives_exactly_zero_recognizer_gradient(gate_mode):
 def test_mixed_batch_gradient_is_that_of_its_open_samples(gate_mode):
     rnet, snet, y, e = tuning_batch()
     lam = mixed_band(approximation_errors(rnet, snet, y, e))
-    parts = filtered_str_loss_parts(forward(IMAGES, rnet), embed(y, snet), e, snet, lam, gate_mode)
+    loss_parts = LOSS_PARTS[gate_mode]
+    parts = loss_parts(forward(IMAGES, rnet), embed(grid_node(y), snet), e, snet, lam)
     open_losses = [
-        filtered_str_loss_parts(
-            forward(im, rnet), embed([t], snet), [d], snet, lam, gate_mode
-        ).loss
+        loss_parts(forward(im, rnet), embed(grid_node([t]), snet), [d], snet, lam).loss
         for im, t, d, gate in zip(IMAGES, y, e, parts.gate_open)
         if gate
     ]

@@ -30,7 +30,8 @@ from edsurrogate.surrogate import (
     load_surrogate,
     save_surrogate,
 )
-from edsurrogate.text_metrics import CharGrid
+
+from .oracles import CharGrid, grid_node
 
 
 def test_surrogate_round_trip_preserves_behavior(tmp_path):
@@ -50,8 +51,9 @@ def test_surrogate_round_trip_preserves_behavior(tmp_path):
     grid = CharGrid(p / p.sum(axis=0))
     q = rng.random((3, 4))
     other = CharGrid(q / q.sum(axis=0))
-    before = distance_row([grid], embed([other], net), net).values.item()
-    after = distance_row([grid], embed([other], loaded), loaded).values.item()
+    z, y = grid_node([grid]), grid_node([other])
+    before = distance_row(z, embed(y, net), net).values.item()
+    after = distance_row(z, embed(y, loaded), loaded).values.item()
     assert before == after
 
 
@@ -115,8 +117,9 @@ def test_surrogate_with_non_default_slope_and_seed_reloads_bit_identical(tmp_pat
     rng = np.random.default_rng(3)
     p, q = rng.random((3, 4)), rng.random((3, 4))
     a, b = CharGrid(p / p.sum(axis=0)), CharGrid(q / q.sum(axis=0))
-    before = distance_row([a], embed([b], net), net).values.item()
-    assert before == distance_row([a], embed([b], loaded), loaded).values.item()
+    z, y = grid_node([a]), grid_node([b])
+    before = distance_row(z, embed(y, net), net).values.item()
+    assert before == distance_row(z, embed(y, loaded), loaded).values.item()
 
 
 def test_checkpoint_without_slope_and_seed_loads_with_defaults(tmp_path):

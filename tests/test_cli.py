@@ -10,13 +10,12 @@ from edsurrogate.evaluation import (
     LOG_HEADER,
     read_log_csv,
     read_metrics_csv,
-    read_scatter_csv,
     write_log_csv,
 )
 from edsurrogate.params import load_checkpoint, save_checkpoint
 from edsurrogate.recognizer import RecognizerConfig, RecognizerNet, save_recognizer
 
-from .oracles import load_dataset
+from .oracles import load_dataset, read_scatter_csv
 
 TINY = {
     "seed": 3,
@@ -338,6 +337,29 @@ def test_config_value_of_wrong_type_is_one_error_line(
     assert f"key {key!r}" in err
 
 
+@pytest.mark.parametrize(
+    "flags,train,message",
+    [
+        (["--epochs", "0"], {}, "train key 'epochs' must be >= 1, got 0"),
+        (["--lambda", "-1"], {}, "train key 'lam' must be > 0, got -1.0"),
+        ([], {"eta_b": 0}, "train key 'eta_b' must be > 0, got 0"),
+        ([], {"batch_size": 0}, "train key 'batch_size' must be >= 1, got 0"),
+        ([], {"w1": 0}, "train key 'w1' must be > 0, got 0"),
+        ([], {"w2": -0.5}, "train key 'w2' must be >= 0, got -0.5"),
+    ],
+    ids=["epochs-flag", "lambda-flag", "eta_b", "batch_size", "w1", "w2"],
+)
+def test_train_value_out_of_range_is_one_error_line_naming_key_and_value(
+    tmp_path, capsys, flags, train, message
+):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"dataset": {"corpus_size": 20}, "train": train}), encoding="utf-8")
+    argv = ["tune", "--config", str(path), "--out", str(tmp_path / "t"), *flags]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "t").exists()
+
+
 @pytest.mark.parametrize("glyph_width", [0, -1])
 def test_glyph_width_below_one_is_one_error_line(tmp_path, capsys, glyph_width):
     path = tmp_path / "config.json"
@@ -379,8 +401,14 @@ def test_seed_out_of_range_is_one_error_line_before_any_work(
 
 @pytest.mark.parametrize(
     "row",
-    ["1,recognizer,0,3,1,0.5", "1,recognizer,0,3,x,0.5,0.25,1", "1,recognizer,0,3,-2,nan,0.0,0"],
-    ids=["six-fields", "non-numeric-e", "negative-e"],
+    [
+        "1,recognizer,0,3,1,0.5",
+        "1,recognizer,0,3,x,0.5,0.25,1",
+        "1,recognizer,0,3,-2,nan,0.0,0",
+        "1,recognizr,0,3,1,0.5,0.25,1",
+        "1,recognizer,0,3,1,0.5,0.25,2",
+    ],
+    ids=["six-fields", "non-numeric-e", "negative-e", "unknown-phase", "gate-two"],
 )
 def test_bad_log_row_is_one_error_line_naming_file_and_line(tmp_path, capsys, row):
     log = tmp_path / "log.csv"
@@ -424,6 +452,15 @@ def test_malformed_checkpoint_is_one_error_line(tmp_path, capsys, name, shape):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith(f"error: tensor {name!r} ")
+
+
+@pytest.mark.parametrize("section", ["recognizer", "surrogate"])
+def test_net_section_sized_for_another_dataset_is_one_error_line(tmp_path, capsys, section):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({section: {"capacity": 4}}), encoding="utf-8")
+    assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "d")]) == 2
+    assert capsys.readouterr().err == f"error: {section} has capacity 4, but the dataset has 8\n"
+    assert not (tmp_path / "d").exists()
 
 
 @pytest.mark.parametrize("command", ["evaluate", "tune"])

@@ -9,7 +9,6 @@ from edsurrogate.evaluation import (
     in_band_fraction,
     read_log_csv,
     read_metrics_csv,
-    read_scatter_csv,
     relative_ted_improvement,
     scatter_rows,
     write_log_csv,
@@ -25,7 +24,7 @@ from edsurrogate.synth_data import DatasetConfig, sample_corpus
 from edsurrogate.text_metrics import Alphabet, MetricsReport
 from edsurrogate.training import PhaseLogRecord
 
-from .oracles import recursive_edit_distance
+from .oracles import read_scatter_csv, recursive_edit_distance
 
 DCFG = DatasetConfig.desk(corpus_size=20)
 RCFG = RecognizerConfig(

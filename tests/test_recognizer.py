@@ -10,9 +10,9 @@ from edsurrogate.recognizer import (
     ce_loss,
     forward,
 )
-from edsurrogate.text_metrics import Alphabet, CharGrid, decode_greedy
+from edsurrogate.text_metrics import Alphabet, decode_greedy
 
-from .oracles import encode_one_hot, split_grids
+from .oracles import CharGrid, encode_one_hot, split_grids
 
 TINY = RecognizerConfig(
     alphabet_size=3,

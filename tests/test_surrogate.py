@@ -12,9 +12,15 @@ from edsurrogate.surrogate import (
     embed,
     surrogate_loss_parts,
 )
-from edsurrogate.text_metrics import Alphabet, CharGrid
+from edsurrogate.text_metrics import Alphabet
 
-from .oracles import assert_gradients_close, encode_one_hot, finite_difference_gradient
+from .oracles import (
+    CharGrid,
+    assert_gradients_close,
+    encode_one_hot,
+    finite_difference_gradient,
+    grid_node,
+)
 
 TINY = SurrogateConfig(
     alphabet_size=3,
@@ -36,7 +42,7 @@ def random_grid(rng, alphabet_size=3, capacity=4) -> CharGrid:
 
 def distance(a: CharGrid, b: CharGrid, net: SurrogateNet) -> float:
     """The surrogate distance of one pair, as a batch of one."""
-    return distance_row([a], embed([b], net), net).values.item()
+    return distance_row(grid_node([a]), embed(grid_node([b]), net), net).values.item()
 
 
 def test_config_validation():
@@ -52,8 +58,8 @@ def test_config_validation():
 def test_embedding_shape_and_determinism():
     net = SurrogateNet(TINY)
     grid = random_grid(np.random.default_rng(0))
-    first = embed([grid], net)
-    second = embed([grid], net)
+    first = embed(grid_node([grid]), net)
+    second = embed(grid_node([grid]), net)
     assert first.shape == (TINY.embedding_dim, 1)
     assert first.values.tobytes() == second.values.tobytes()
 
@@ -67,7 +73,7 @@ def test_same_seed_same_weights():
 def test_embed_rejects_wrong_shape():
     net = SurrogateNet(TINY)
     with pytest.raises(ConfigError):
-        embed([CharGrid(np.full((3, 5), 1.0 / 3.0))], net)
+        embed(grid_node([CharGrid(np.full((3, 5), 1.0 / 3.0))]), net)
 
 
 def test_embed_gradient_wrt_grid_matches_fd():
@@ -103,7 +109,9 @@ def test_distance_symmetric_and_nonnegative(seed):
 def test_loss_is_weighted_sum_of_its_parts():
     net = SurrogateNet(TINY)
     rng = np.random.default_rng(3)
-    parts = surrogate_loss_parts([random_grid(rng)], [random_grid(rng)], [2], net, 1.0, 0.1)
+    parts = surrogate_loss_parts(
+        grid_node([random_grid(rng)]), grid_node([random_grid(rng)]), [2], net, 1.0, 0.1
+    )
     assert parts.penalty is not None
     expected = 1.0 * parts.fit.values.item() + 0.1 * parts.penalty.values.item()
     assert parts.loss.values.item() == pytest.approx(expected, rel=1e-12)
@@ -113,7 +121,7 @@ def test_w2_zero_reduces_to_squared_error():
     net = SurrogateNet(TINY)
     rng = np.random.default_rng(4)
     z, y = random_grid(rng), random_grid(rng)
-    parts = surrogate_loss_parts([z], [y], [1], net, 1.0, 0.0)
+    parts = surrogate_loss_parts(grid_node([z]), grid_node([y]), [1], net, 1.0, 0.0)
     e_hat = distance(z, y, net)
     assert parts.penalty is None
     assert parts.loss.values.item() == pytest.approx((e_hat - 1.0) ** 2, rel=1e-12)
@@ -123,14 +131,14 @@ def test_one_hot_grids_accepted():
     net = SurrogateNet(TINY)
     y = encode_one_hot("ab", ALPHABET, TINY.capacity)
     z = encode_one_hot("ba", ALPHABET, TINY.capacity)
-    loss = surrogate_loss_parts([z], [y], [2], net, 1.0, 0.1).loss
+    loss = surrogate_loss_parts(grid_node([z]), grid_node([y]), [2], net, 1.0, 0.1).loss
     assert np.isfinite(loss.values.item())
 
 
 def _loss_with_arrays(arrays, z, y, e, weights, term):
     net = SurrogateNet(TINY)
     net.params.load_arrays(arrays)
-    parts = surrogate_loss_parts([z], [y], [e], net, *weights)
+    parts = surrogate_loss_parts(grid_node([z]), grid_node([y]), [e], net, *weights)
     return ad.sum_all({"loss": parts.loss, "fit": parts.fit, "penalty": parts.penalty}[term])
 
 
@@ -149,7 +157,7 @@ def test_loss_gradient_wrt_weights_matches_fd(weights, term, rel):
     z, y = random_grid(rng), random_grid(rng)
     e = 2
 
-    parts = surrogate_loss_parts([z], [y], [e], net, *weights)
+    parts = surrogate_loss_parts(grid_node([z]), grid_node([y]), [e], net, *weights)
     root = ad.sum_all({"loss": parts.loss, "fit": parts.fit, "penalty": parts.penalty}[term])
     leaves = net.params.nodes()
     grads = ad.backward(root, leaves, create_graph=False)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from edsurrogate.errors import CapacityError, EncodingError, ShapeError
 from edsurrogate.text_metrics import (
     Alphabet,
-    CharGrid,
     decode_greedy,
     edit_distance,
     encode_batch,
@@ -15,6 +14,8 @@ from edsurrogate.text_metrics import (
 )
 
 from .oracles import (
+    CharGrid,
+    default_alphabet,
     encode_one_hot,
     grid_is_one_hot,
     per_column_one_hot,
@@ -30,10 +31,10 @@ words = st.text(alphabet="ab", max_size=5)
 
 
 def test_default_alphabet_has_37_symbols():
-    alphabet = Alphabet.default()
+    alphabet = default_alphabet()
     assert len(alphabet) == 37
     assert alphabet.pad_index == 0
-    assert alphabet.pad_char == "_"
+    assert alphabet.symbols[alphabet.pad_index] == "_"
 
 
 def test_alphabet_rejects_duplicates_and_tiny_sets():
@@ -44,7 +45,7 @@ def test_alphabet_rejects_duplicates_and_tiny_sets():
 
 
 def test_alphabet_index_roundtrip():
-    alphabet = Alphabet.default()
+    alphabet = default_alphabet()
     for i, ch in enumerate(alphabet.symbols):
         assert alphabet.index_of(ch) == i
 
@@ -74,8 +75,8 @@ def test_encode_rejects_long_word_and_bad_chars():
 
 
 def test_decode_strips_padding():
-    grid = encode_one_hot("cat", Alphabet.default(), 5)
-    assert decode_greedy(grid.values, 1, Alphabet.default()) == ["cat"]
+    grid = encode_one_hot("cat", default_alphabet(), 5)
+    assert decode_greedy(grid.values, 1, default_alphabet()) == ["cat"]
 
 
 def test_decode_uniform_ties_resolve_to_pad():
@@ -84,7 +85,7 @@ def test_decode_uniform_ties_resolve_to_pad():
 
 
 def test_decode_soft_grid():
-    alphabet = Alphabet.default()
+    alphabet = default_alphabet()
     grid = encode_one_hot("hey", alphabet, 4)
     soft = 0.6 * grid.values + 0.4 / len(alphabet)
     soft = soft / soft.sum(axis=0, keepdims=True)

@@ -18,7 +18,6 @@ from edsurrogate.training import (
     adadelta_step,
     build_recognizer,
     build_surrogate,
-    filter_value,
     filtered_str_loss_parts,
     pretrain_recognizer,
     run_post_tuning,
@@ -29,9 +28,13 @@ from edsurrogate.text_metrics import decode_greedy, edit_distance
 from perfbench.tracer import Tracer, summarize
 
 from .oracles import (
+    LOSS_PARTS,
     broadcast_softmax_columns,
     broadcast_tile_axis,
     encode_one_hot,
+    filter_value,
+    grid_node,
+    literal_loss_parts,
     two_row_edit_distance,
     where_leaky_relu,
 )
@@ -147,7 +150,7 @@ def _tuning_sample():
     surrogate = SurrogateNet(SCFG)
     image = sample_corpus(DatasetConfig.desk(corpus_size=1))[0]
     z_node = forward(image, recognizer)
-    y_grid = encode_one_hot(image.label, DCFG.alphabet, DCFG.capacity)
+    y_grid = grid_node([encode_one_hot(image.label, DCFG.alphabet, DCFG.capacity)])
     e = edit_distance(decode_greedy(z_node.values, 1, DCFG.alphabet)[0], image.label)
     return recognizer, surrogate, z_node, y_grid, e
 
@@ -155,13 +158,11 @@ def _tuning_sample():
 @pytest.mark.parametrize("gate_mode", ["gated", "literal"])
 def test_closed_gate_gives_exactly_zero_theta_gradient(gate_mode):
     recognizer, surrogate, z_node, y_grid, e = _tuning_sample()
-    probe = filtered_str_loss_parts(z_node, embed([y_grid], surrogate), [e], surrogate, lam=1e9)
+    probe = filtered_str_loss_parts(z_node, embed(y_grid, surrogate), [e], surrogate, lam=1e9)
     abs_err = abs(probe.e_hat.values.item() - e)
     assert abs_err > 0
     for lam in (abs_err / 2, abs_err):  # interior and exact boundary
-        parts = filtered_str_loss_parts(
-            z_node, embed([y_grid], surrogate), [e], surrogate, lam, gate_mode
-        )
+        parts = LOSS_PARTS[gate_mode](z_node, embed(y_grid, surrogate), [e], surrogate, lam)
         assert parts.gate_open == (False,)
         grads = ad.backward(ad.sum_all(parts.loss), recognizer.params.nodes())
         assert all(np.all(g.values == 0.0) for g in grads)
@@ -170,11 +171,9 @@ def test_closed_gate_gives_exactly_zero_theta_gradient(gate_mode):
 @pytest.mark.parametrize("gate_mode", ["gated", "literal"])
 def test_open_gate_gives_nonzero_theta_gradient(gate_mode):
     recognizer, surrogate, z_node, y_grid, e = _tuning_sample()
-    probe = filtered_str_loss_parts(z_node, embed([y_grid], surrogate), [e], surrogate, lam=1e9)
+    probe = filtered_str_loss_parts(z_node, embed(y_grid, surrogate), [e], surrogate, lam=1e9)
     lam = abs(probe.e_hat.values.item() - e) + 1.0
-    parts = filtered_str_loss_parts(
-        z_node, embed([y_grid], surrogate), [e], surrogate, lam, gate_mode
-    )
+    parts = LOSS_PARTS[gate_mode](z_node, embed(y_grid, surrogate), [e], surrogate, lam)
     assert parts.gate_open == (True,)
     grads = ad.backward(ad.sum_all(parts.loss), recognizer.params.nodes())
     assert any(np.any(g.values != 0.0) for g in grads)
@@ -182,11 +181,9 @@ def test_open_gate_gives_nonzero_theta_gradient(gate_mode):
 
 def test_open_gate_gated_loss_gradient_equals_distance_gradient():
     recognizer, surrogate, z_node, y_grid, e = _tuning_sample()
-    probe = filtered_str_loss_parts(z_node, embed([y_grid], surrogate), [e], surrogate, lam=1e9)
+    probe = filtered_str_loss_parts(z_node, embed(y_grid, surrogate), [e], surrogate, lam=1e9)
     lam = abs(probe.e_hat.values.item() - e) + 1.0
-    parts = filtered_str_loss_parts(
-        z_node, embed([y_grid], surrogate), [e], surrogate, lam, "gated"
-    )
+    parts = filtered_str_loss_parts(z_node, embed(y_grid, surrogate), [e], surrogate, lam)
     loss_grads = ad.backward(ad.sum_all(parts.loss), recognizer.params.nodes())
     ehat_grads = ad.backward(ad.sum_all(parts.e_hat), recognizer.params.nodes())
     for a, b in zip(loss_grads, ehat_grads):
@@ -195,13 +192,11 @@ def test_open_gate_gated_loss_gradient_equals_distance_gradient():
 
 def test_open_gate_literal_gradient_is_signed_distance_gradient():
     recognizer, surrogate, z_node, y_grid, e = _tuning_sample()
-    probe = filtered_str_loss_parts(z_node, embed([y_grid], surrogate), [e], surrogate, lam=1e9)
+    probe = filtered_str_loss_parts(z_node, embed(y_grid, surrogate), [e], surrogate, lam=1e9)
     e_hat = probe.e_hat.values.item()
     sign = 1.0 if e_hat > e else -1.0
     lam = abs(e_hat - e) + 1.0
-    parts = filtered_str_loss_parts(
-        z_node, embed([y_grid], surrogate), [e], surrogate, lam, "literal"
-    )
+    parts = literal_loss_parts(z_node, embed(y_grid, surrogate), [e], surrogate, lam)
     loss_grads = ad.backward(ad.sum_all(parts.loss), recognizer.params.nodes())
     ehat_grads = ad.backward(ad.sum_all(parts.e_hat), recognizer.params.nodes())
     for a, b in zip(loss_grads, ehat_grads):
@@ -210,7 +205,7 @@ def test_open_gate_literal_gradient_is_signed_distance_gradient():
 
 def test_huge_lambda_opens_every_gate():
     recognizer, surrogate, z_node, y_grid, e = _tuning_sample()
-    parts = filtered_str_loss_parts(z_node, embed([y_grid], surrogate), [e], surrogate, lam=1e9)
+    parts = filtered_str_loss_parts(z_node, embed(y_grid, surrogate), [e], surrogate, lam=1e9)
     assert parts.gate_open == (True,)
     assert parts.loss.values.item() == pytest.approx(parts.e_hat.values.item())
 
