@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the checks that name an
-unknown config key or a config value of the wrong type."""
+unknown config key, a config value of the wrong type or one out of range."""
 
 import dataclasses
 import functools
@@ -62,14 +62,19 @@ def _fits(value, kind) -> bool:
     return isinstance(value, kind)
 
 
-def check_field_types(section: str, config) -> None:
+def check_config(section: str, config, rows) -> None:
     """Raise ConfigError naming the first field of a config dataclass whose
-    value does not have its declared type. An int must not be a bool, a float
-    must be a finite real (an int will do), and a tuple[int, ...] must be a
-    tuple of such ints."""
+    value does not have its declared type, then the first key of the
+    (key, test, wanted) rows whose value fails test(value, config), as
+    "<section> key '<key>' must <wanted>, got <value>". An int must not be a
+    bool, a float must be a finite real (an int will do), and a
+    tuple[int, ...] must be a tuple of such ints."""
     hints = _type_hints(type(config))
     for field in dataclasses.fields(config):
         kind, value = hints[field.name], getattr(config, field.name)
         if not _fits(value, kind):
             wanted = _WANTED.get(kind, f"a {kind.__name__}")
             raise ConfigError(f"{section} key {field.name!r} must be {wanted}, got {value!r}")
+    for key, test, wanted in rows:
+        if not test(value := getattr(config, key), config):
+            raise ConfigError(f"{section} key {key!r} must {wanted}, got {value!r}")

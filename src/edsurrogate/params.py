@@ -29,6 +29,18 @@ META_SEED = "meta.seed"
 MAX_EXACT_SEED = 2**53  # largest seed a float64 tensor holds exactly
 MAX_NDIM = 32  # the most dims every supported numpy gives an array
 
+# (key, test, wanted) rows for errors.check_config: a seed a checkpoint holds
+# exactly, and the ranges that both net configs check before their own
+SEED_ROW = ("seed", lambda v, c: 0 <= v <= MAX_EXACT_SEED, "lie in [0, 2**53]")
+NET_ROWS = (
+    SEED_ROW,
+    ("alphabet_size", lambda v, c: v >= 2, "be >= 2"),
+    ("capacity", lambda v, c: v >= 1, "be >= 1"),
+    ("channels", lambda v, c: all(n >= 1 for n in v), "hold counts >= 1"),
+    ("kernel", lambda v, c: v >= 1 and v % 2 == 1, "be odd and >= 1, so same-padding is exact"),
+    ("slope", lambda v, c: 0 <= v <= 1, "lie in [0, 1]"),
+)
+
 
 class ParamStore:
     """Ordered mapping of unique names to leaf DiffNodes with stable shapes."""
@@ -45,13 +57,26 @@ class ParamStore:
         self._nodes[name] = node
         return node
 
-    def add_uniform(self, name: str, rng, shape, fan_in: int) -> DiffNode:
-        """A parameter drawn from U(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
-        bound = np.sqrt(1.0 / fan_in)
-        return self.add(name, rng.uniform(-bound, bound, size=shape))
+    def add_layer(self, name: str, rng, shape) -> None:
+        """name.weight of shape, then name.bias of (shape[0], 1), both drawn
+        from U(-1/sqrt(fan_in), 1/sqrt(fan_in)) with fan_in = prod(shape[1:])."""
+        bound = np.sqrt(1.0 / math.prod(shape[1:]))
+        self.add(f"{name}.weight", rng.uniform(-bound, bound, size=shape))
+        self.add(f"{name}.bias", rng.uniform(-bound, bound, size=(shape[0], 1)))
+
+    def add_conv_stack(self, rng, c_in: int, channels, kernel: int) -> None:
+        """Layers conv0, conv1, ... with channels[i] outputs, each reading the
+        channels of the layer before (c_in for conv0)."""
+        for i, c_out in enumerate(channels):
+            self.add_layer(f"conv{i}", rng, (c_out, c_in, kernel))
+            c_in = c_out
 
     def node(self, name: str) -> DiffNode:
         return self._nodes[name]
+
+    def layer(self, name: str) -> tuple[DiffNode, DiffNode]:
+        """The weight and bias nodes of the layer add_layer made as name."""
+        return self._nodes[f"{name}.weight"], self._nodes[f"{name}.bias"]
 
     def names(self) -> tuple[str, ...]:
         return tuple(self._nodes)
@@ -108,16 +133,23 @@ def _read_u32(fh, end: int) -> int:
     return struct.unpack("<I", _read(fh, 4, end))[0]
 
 
-def network_meta(slope: float, seed: int) -> dict[str, np.ndarray]:
-    """Meta tensors for the network config fields that tensor shapes do not
-    carry: the LeakyReLU slope and the init seed."""
-    if not 0 <= seed <= MAX_EXACT_SEED:
-        raise CheckpointError(f"seed {seed} cannot be stored exactly")
-    return {META_SLOPE: np.array([float(slope)]), META_SEED: np.array([float(seed)])}
+def save_net(path, net, embedding_dim: int, extra: dict[str, np.ndarray]) -> None:
+    """Save net's parameters, then the meta tensors of the config fields that
+    tensor shapes do not carry (the LeakyReLU slope and the init seed), then
+    extra, under a header of net's alphabet size and capacity."""
+    config = net.config
+    header = CheckpointHeader(config.alphabet_size, config.capacity, embedding_dim)
+    arrays = {
+        **net.params.to_arrays(),
+        META_SLOPE: np.array([float(config.slope)]),
+        META_SEED: np.array([float(config.seed)]),
+        **extra,
+    }
+    save_checkpoint(path, header, arrays)
 
 
 def pop_network_meta(arrays: dict[str, np.ndarray]) -> dict:
-    """Remove the meta tensors written by network_meta and return them as
+    """Remove the meta tensors written by save_net and return them as
     config fields. Files written before they existed lack them; the config
     defaults then apply."""
     fields = {}
@@ -147,15 +179,14 @@ def tensor_shape(arrays: dict[str, np.ndarray], name: str, ndim: int, family: st
     return shape
 
 
-def conv_chain(arrays: dict[str, np.ndarray], family: str, c_in: int, layers: int) -> tuple:
-    """Output channels and kernel of the weights conv0 to conv{layers-1} of
-    a family checkpoint, each of which must read the channels of the layer
-    before (c_in for conv0) with conv0's kernel. Checked before a net is
-    built, which sizes its tensors from these."""
+def conv_chain(arrays: dict[str, np.ndarray], family: str, c_in: int) -> tuple:
+    """Output channels and kernel of the weights conv0, conv1, ... of a
+    family checkpoint, up to the first missing index, each of which must read
+    the channels of the layer before (c_in for conv0) with conv0's kernel.
+    Checked before a net is built, which sizes its tensors from these."""
     kernel = tensor_shape(arrays, "conv0.weight", 3, family)[2]
     channels = []
-    for i in range(layers):
-        name = f"conv{i}.weight"
+    while (name := f"conv{len(channels)}.weight") in arrays:
         shape = tensor_shape(arrays, name, 3, family)
         if shape[1:] != (c_in, kernel):
             raise CheckpointError(

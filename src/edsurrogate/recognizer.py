@@ -16,20 +16,25 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DiffNode
-from .errors import CheckpointError, ConfigError, NumericError, ShapeError, check_field_types
+from .errors import CheckpointError, ConfigError, NumericError, ShapeError, check_config
 from .params import (
-    CheckpointHeader,
+    NET_ROWS,
     ParamStore,
     conv_chain,
     load_checkpoint,
-    network_meta,
     pop_network_meta,
-    save_checkpoint,
+    save_net,
     tensor_shape,
 )
 from .text_metrics import is_one_hot
 
 META_IMAGE_SHAPE = "meta.image_shape"
+_ROWS = (
+    *NET_ROWS,
+    ("channels", lambda v, c: len(v) >= 1, "hold at least one count"),
+    *((key, lambda v, c: v >= 1, "be >= 1") for key in ("image_height", "image_width")),
+    ("image_width", lambda v, c: v % c.capacity == 0, "be a multiple of capacity"),
+)
 
 
 @dataclass(frozen=True)
@@ -61,19 +66,7 @@ class RecognizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_field_types("recognizer", self)
-        if self.alphabet_size < 2 or self.capacity < 1:
-            raise ConfigError("alphabet_size >= 2 and capacity >= 1 required")
-        if self.image_height < 1 or self.image_width < 1:
-            raise ConfigError("image dims must be positive")
-        if self.image_width % self.capacity != 0:
-            raise ConfigError("image width must be a multiple of the capacity")
-        if not self.channels or any(c < 1 for c in self.channels):
-            raise ConfigError("channel counts must be positive")
-        if self.kernel < 1 or self.kernel % 2 == 0:
-            raise ConfigError("kernel must be odd so same-padding is exact")
-        if not 0 <= self.slope <= 1:
-            raise ConfigError(f"recognizer key 'slope' must lie in [0, 1], got {self.slope}")
+        check_config("recognizer", self, _ROWS)
 
 
 class RecognizerNet:
@@ -83,14 +76,8 @@ class RecognizerNet:
         self.config = config
         self.params = ParamStore()
         rng = np.random.default_rng(config.seed)
-        c_in = config.image_height
-        for i, c_out in enumerate(config.channels):
-            fan_in = c_in * config.kernel
-            self.params.add_uniform(f"conv{i}.weight", rng, (c_out, c_in, config.kernel), fan_in)
-            self.params.add_uniform(f"conv{i}.bias", rng, (c_out, 1), fan_in)
-            c_in = c_out
-        self.params.add_uniform("head.weight", rng, (config.alphabet_size, c_in), c_in)
-        self.params.add_uniform("head.bias", rng, (config.alphabet_size, 1), c_in)
+        self.params.add_conv_stack(rng, config.image_height, config.channels, config.kernel)
+        self.params.add_layer("head", rng, (config.alphabet_size, config.channels[-1]))
 
 
 def forward(images: WordImage | Sequence[WordImage], net: RecognizerNet) -> DiffNode:
@@ -111,13 +98,11 @@ def forward(images: WordImage | Sequence[WordImage], net: RecognizerNet) -> Diff
             )
     x = ad.constant(np.concatenate([image.pixels for image in batch], axis=1))
     for i in range(len(config.channels)):
-        x = ad.conv1d(
-            x, net.params.node(f"conv{i}.weight"), net.params.node(f"conv{i}.bias"), len(batch)
-        )
-        x = ad.leaky_relu(x, config.slope)
+        x = ad.leaky_relu(ad.conv1d(x, *net.params.layer(f"conv{i}"), len(batch)), config.slope)
     stride = config.image_width // config.capacity
     pooled = ad.mul_scalar(ad.segment_sum(x, len(batch) * config.capacity), 1.0 / stride)
-    logits = ad.linear(net.params.node("head.weight"), pooled, net.params.node("head.bias"))
+    weight, bias = net.params.layer("head")
+    logits = ad.linear(weight, pooled, bias)
     return ad.softmax_columns(logits)
 
 
@@ -135,18 +120,10 @@ def ce_loss(z_hat: DiffNode, y_values: np.ndarray, count: int) -> DiffNode:
 
 
 def save_recognizer(path, net: RecognizerNet) -> None:
-    """Same tensor format as the surrogate; slope, seed and image dims ride
-    as meta tensors."""
-    config = net.config
-    header = CheckpointHeader(
-        alphabet_size=config.alphabet_size, capacity=config.capacity, embedding_dim=0
-    )
-    arrays = net.params.to_arrays()
-    arrays.update(network_meta(config.slope, config.seed))
-    arrays[META_IMAGE_SHAPE] = np.array(
-        [config.image_height, config.image_width], dtype=np.float64
-    )
-    save_checkpoint(path, header, arrays)
+    """Same tensor format as the surrogate; the image dims ride as one more
+    meta tensor."""
+    shape = [net.config.image_height, net.config.image_width]
+    save_net(path, net, 0, {META_IMAGE_SHAPE: np.array(shape, dtype=np.float64)})
 
 
 def load_recognizer(path) -> RecognizerNet:
@@ -159,10 +136,7 @@ def load_recognizer(path) -> RecognizerNet:
     # Checked before the net is built, which sizes its tensors from these.
     if height != conv_in or not width.is_integer():
         raise CheckpointError(f"image shape ({height!r}, {width!r}) does not fit conv0.weight")
-    layers = 1
-    while f"conv{layers}.weight" in arrays:
-        layers += 1
-    channels, kernel = conv_chain(arrays, "recognizer", conv_in, layers)
+    channels, kernel = conv_chain(arrays, "recognizer", conv_in)
     head_rows, head_in = tensor_shape(arrays, "head.weight", 2, "recognizer")
     if head_rows != header.alphabet_size:
         raise CheckpointError(f"header alphabet_size {header.alphabet_size} != head rows")

@@ -17,19 +17,23 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DiffNode
-from .errors import CheckpointError, ConfigError, ShapeError, check_field_types
+from .errors import CheckpointError, ConfigError, ShapeError, check_config
 from .params import (
-    CheckpointHeader,
+    NET_ROWS,
     ParamStore,
     conv_chain,
     load_checkpoint,
-    network_meta,
     pop_network_meta,
-    save_checkpoint,
+    save_net,
     tensor_shape,
 )
 
 CONV_LAYERS = 5
+_ROWS = (
+    *NET_ROWS,
+    ("channels", lambda v, c: len(v) == CONV_LAYERS, f"hold {CONV_LAYERS} counts"),
+    *((key, lambda v, c: v >= 1, "be >= 1") for key in ("embedding_dim", "hidden")),
+)
 
 
 @dataclass(frozen=True)
@@ -44,19 +48,7 @@ class SurrogateConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_field_types("surrogate", self)
-        if self.alphabet_size < 2 or self.capacity < 1:
-            raise ConfigError("alphabet_size >= 2 and capacity >= 1 required")
-        if self.embedding_dim < 1 or self.hidden < 1:
-            raise ConfigError("embedding_dim and hidden must be positive")
-        if len(self.channels) != CONV_LAYERS:
-            raise ConfigError(f"exactly {CONV_LAYERS} conv layers required")
-        if any(c < 1 for c in self.channels):
-            raise ConfigError("channel counts must be positive")
-        if self.kernel < 1 or self.kernel % 2 == 0:
-            raise ConfigError("kernel must be odd so same-padding is exact")
-        if not 0 <= self.slope <= 1:
-            raise ConfigError(f"surrogate key 'slope' must lie in [0, 1], got {self.slope}")
+        check_config("surrogate", self, _ROWS)
 
 
 class SurrogateNet:
@@ -66,17 +58,9 @@ class SurrogateNet:
         self.config = config
         self.params = ParamStore()
         rng = np.random.default_rng(config.seed)
-        c_in = config.alphabet_size
-        for i, c_out in enumerate(config.channels):
-            fan_in = c_in * config.kernel
-            self.params.add_uniform(f"conv{i}.weight", rng, (c_out, c_in, config.kernel), fan_in)
-            self.params.add_uniform(f"conv{i}.bias", rng, (c_out, 1), fan_in)
-            c_in = c_out
-        hidden, out_dim = config.hidden, config.embedding_dim
-        self.params.add_uniform("fc1.weight", rng, (hidden, c_in), c_in)
-        self.params.add_uniform("fc1.bias", rng, (hidden, 1), c_in)
-        self.params.add_uniform("fc2.weight", rng, (out_dim, hidden), hidden)
-        self.params.add_uniform("fc2.bias", rng, (out_dim, 1), hidden)
+        self.params.add_conv_stack(rng, config.alphabet_size, config.channels, config.kernel)
+        self.params.add_layer("fc1", rng, (config.hidden, config.channels[-1]))
+        self.params.add_layer("fc2", rng, (config.embedding_dim, config.hidden))
 
 
 def _as_grid_node(node: DiffNode, config: SurrogateConfig) -> DiffNode:
@@ -101,16 +85,12 @@ def embed(grids: DiffNode, net: SurrogateNet) -> DiffNode:
     x = _as_grid_node(grids, config)
     batch = x.shape[1] // config.capacity
     for i in range(CONV_LAYERS):
-        x = ad.conv1d(
-            x, net.params.node(f"conv{i}.weight"), net.params.node(f"conv{i}.bias"), batch
-        )
-        x = ad.leaky_relu(x, config.slope)
+        x = ad.leaky_relu(ad.conv1d(x, *net.params.layer(f"conv{i}"), batch), config.slope)
     pooled = ad.mul_scalar(ad.segment_sum(x, batch), 1.0 / config.capacity)
-    h = ad.leaky_relu(
-        ad.linear(net.params.node("fc1.weight"), pooled, net.params.node("fc1.bias")),
-        config.slope,
-    )
-    return ad.linear(net.params.node("fc2.weight"), h, net.params.node("fc2.bias"))
+    weight, bias = net.params.layer("fc1")
+    h = ad.leaky_relu(ad.linear(weight, pooled, bias), config.slope)
+    weight, bias = net.params.layer("fc2")
+    return ad.linear(weight, h, bias)
 
 
 def distance_row(z_hat: DiffNode, y_embedding: DiffNode, net: SurrogateNet) -> DiffNode:
@@ -129,9 +109,9 @@ class SurrogateLossParts:
 
 
 def surrogate_loss_parts(
-    z_hat: DiffNode, y_hat: DiffNode, e: Sequence[int], net: SurrogateNet, w1: float, w2: float
+    z_hat: DiffNode, y_hat: DiffNode, e: Sequence[int], net: SurrogateNet, w2: float
 ) -> SurrogateLossParts:
-    """(1, B) rows of the loss w1*(e_hat - e)^2 + w2*(||d e_hat/d z||_2 - 1)^2
+    """(1, B) rows of the loss (e_hat - e)^2 + w2*(||d e_hat/d z||_2 - 1)^2
     and its pieces, for B distances e, B predicted grids z_hat and B target
     grids y_hat, each given as embed takes them.
 
@@ -147,26 +127,17 @@ def surrogate_loss_parts(
         raise ShapeError(f"predicted grids {z_node.shape} do not hold {len(e)} samples")
     e_row = ad.constant(np.reshape(np.asarray(e, dtype=np.float64), (1, len(e))))
     e_hat = distance_row(z_node, embed(y_hat, net), net)
-    fit = ad.square(ad.sub(e_hat, e_row))
-    loss = ad.mul_scalar(fit, w1)
+    loss = fit = ad.square(ad.sub(e_hat, e_row))
     penalty = None
     if w2 > 0:
         (grad_z,) = ad.backward(ad.sum_all(e_hat), [z_node], create_graph=True)
         penalty = ad.square(ad.add_scalar(ad.segment_norms(grad_z, len(e)), -1.0))
-        loss = ad.add(loss, ad.mul_scalar(penalty, w2))
+        loss = ad.add(fit, ad.mul_scalar(penalty, w2))
     return SurrogateLossParts(loss=loss, e_hat=e_hat, fit=fit, penalty=penalty)
 
 
 def save_surrogate(path, net: SurrogateNet) -> None:
-    config = net.config
-    header = CheckpointHeader(
-        alphabet_size=config.alphabet_size,
-        capacity=config.capacity,
-        embedding_dim=config.embedding_dim,
-    )
-    arrays = net.params.to_arrays()
-    arrays.update(network_meta(config.slope, config.seed))
-    save_checkpoint(path, header, arrays)
+    save_net(path, net, net.config.embedding_dim, {})
 
 
 def load_surrogate(path) -> SurrogateNet:
@@ -174,7 +145,7 @@ def load_surrogate(path) -> SurrogateNet:
     header, arrays = load_checkpoint(path)
     network = pop_network_meta(arrays)
     # Checked before the net is built, which sizes its tensors from these.
-    channels, kernel = conv_chain(arrays, "surrogate", header.alphabet_size, CONV_LAYERS)
+    channels, kernel = conv_chain(arrays, "surrogate", header.alphabet_size)
     hidden, fc1_in = tensor_shape(arrays, "fc1.weight", 2, "surrogate")
     out_dim, fc2_in = tensor_shape(arrays, "fc2.weight", 2, "surrogate")
     if out_dim != header.embedding_dim:

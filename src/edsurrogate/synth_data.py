@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, check_field_types, reject_unknown_keys
-from .params import MAX_EXACT_SEED
+from .errors import ConfigError, check_config, reject_unknown_keys
+from .params import SEED_ROW
 from .recognizer import WordImage
 from .text_metrics import Alphabet, edit_distance, label_rows
 
@@ -26,6 +26,20 @@ _GLYPH_TABLES: dict[tuple, np.ndarray] = {}  # _glyph_table's cache, at most 8 e
 # Images per block: 32 desk images are 96 KB, below glibc's 128 KB mmap threshold. A
 # larger block is mmapped, and freeing it raises that threshold for the rest of the process.
 _BLOCK_IMAGES = 32
+# metrics.csv and labels.tsv split fields on ',' and tab, and lines on each
+# line boundary of str.splitlines
+SEPARATORS = ",\t\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029"
+_ROWS = (
+    SEED_ROW,
+    *((key, lambda v, c: v >= 1, "be >= 1")
+      for key in ("capacity", "image_height", "corpus_size", "glyph_width")),
+    ("glyph_seed", lambda v, c: v >= 0, "be >= 0"),
+    ("image_width", lambda v, c: v >= c.capacity * c.glyph_width, "be >= capacity * glyph_width"),
+    ("image_width", lambda v, c: v % c.capacity == 0, "be a multiple of capacity"),
+    ("noise_std", lambda v, c: v >= 0, "be >= 0"),
+    ("shift_range", lambda v, c: 0 <= v <= c.cell_width - c.glyph_width,
+     "lie in [0, image_width / capacity - glyph_width]"),
+)
 
 
 @dataclass(frozen=True)
@@ -42,23 +56,10 @@ class DatasetConfig:
     glyph_seed: int = 7
 
     def __post_init__(self):
-        check_field_types("dataset", self)
-        if not 0 <= self.seed <= MAX_EXACT_SEED:
-            raise ConfigError(f"dataset key 'seed' must lie in [0, 2**53], got {self.seed}")
+        check_config("dataset", self, _ROWS)
         symbols = "".join(self.alphabet.symbols)
-        if any(ch in symbols for ch in ",\t\r\n"):  # metrics.csv and labels.tsv separators
-            raise ConfigError(f"dataset key 'alphabet' holds ',', tab, CR or LF: {symbols!r}")
-        if self.capacity < 1 or self.corpus_size < 1 or self.glyph_width < 1:
-            raise ConfigError("capacity, corpus_size and glyph_width must be positive")
-        if self.image_width < self.capacity * self.glyph_width:
-            raise ConfigError("image width must fit capacity * glyph_width")
-        if self.image_width % self.capacity != 0:
-            raise ConfigError("image width must be a multiple of the capacity")
-        if not self.noise_std >= 0:
-            raise ConfigError("noise_std must be >= 0")
-        slack = self.image_width // self.capacity - self.glyph_width
-        if not 0 <= self.shift_range <= slack:
-            raise ConfigError(f"shift_range must lie in [0, {slack}]")
+        if any(ch in SEPARATORS for ch in symbols):
+            raise ConfigError(f"dataset key 'alphabet' holds ',', tab or a newline: {symbols!r}")
 
     @property
     def cell_width(self) -> int:

@@ -24,8 +24,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import DiffNode
 from .blas import one_blas_thread
-from .errors import ConfigError, NumericError, ShapeError, check_field_types, reject_unknown_keys
-from .params import MAX_EXACT_SEED, ParamStore
+from .errors import ConfigError, NumericError, ShapeError, check_config, reject_unknown_keys
+from .params import SEED_ROW, ParamStore
 from .recognizer import (
     RecognizerConfig,
     RecognizerNet,
@@ -56,13 +56,13 @@ GENERATED_SAMPLE_INDEX = -1
 ADADELTA_RHO = 0.95  # decay of both running averages
 ADADELTA_EPS = 1e-6
 
-# (key, test, what the test wants) of each TrainConfig range check, in check order
-_TRAIN_RANGES = (
-    ("seed", lambda v: 0 <= v <= MAX_EXACT_SEED, "lie in [0, 2**53]"),
-    *((key, lambda v: v >= 1, "be >= 1")
+_ROWS = (
+    SEED_ROW,
+    *((key, lambda v, c: v >= 1, "be >= 1")
       for key in ("i_a", "i_b", "epochs", "batch_size", "pretrain_iterations")),
-    *((key, lambda v: v > 0, "be > 0") for key in ("lam", "eta_a", "eta_b", "eta_pre", "w1")),
-    ("w2", lambda v: v >= 0, "be >= 0"),
+    *((key, lambda v, c: v > 0, "be > 0") for key in ("lam", "eta_a", "eta_b", "eta_pre")),
+    ("w2", lambda v, c: v >= 0, "be >= 0"),
+    ("mode", lambda v, c: v in MODES, f"be one of {MODES}"),
 )
 
 
@@ -78,17 +78,11 @@ class TrainConfig:
     batch_size: int = 32
     mode: str = "feds"
     pretrain_iterations: int = 2000
-    w1: float = 1.0  # surrogate loss weights: fit term, gradient-norm penalty
-    w2: float = 0.1
+    w2: float = 0.1  # weight of the surrogate loss's gradient-norm penalty
     seed: int = 0
 
     def __post_init__(self):
-        check_field_types("train", self)
-        for key, test, wanted in _TRAIN_RANGES:
-            if not test(value := getattr(self, key)):
-                raise ConfigError(f"train key {key!r} must {wanted}, got {value!r}")
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}")
+        check_config("train", self, _ROWS)
 
     @classmethod
     def desk(cls, /, **overrides) -> "TrainConfig":
@@ -286,7 +280,7 @@ def train_surrogate_phase(
         samples = [pairs[p] if p in pairs else cache[i] for p, i in enumerate(indices)]
         z_grids, y_grids, es = zip(*samples)
         z_hat, y_hat = (ad.constant(np.concatenate(g, axis=1)) for g in (z_grids, y_grids))
-        parts = surrogate_loss_parts(z_hat, y_hat, es, surrogate_net, cfg.w1, cfg.w2)
+        parts = surrogate_loss_parts(z_hat, y_hat, es, surrogate_net, cfg.w2)
         e_hats = parts.e_hat.values[0].tolist()
         logged = [GENERATED_SAMPLE_INDEX if p in pairs else i for p, i in enumerate(indices)]
         gates = [abs(e_hat - e) < cfg.lam for e_hat, e in zip(e_hats, es)]

@@ -8,7 +8,9 @@ central finite differences, the grid oracles check and decode one grid, and
 one column, at a time, the kernel oracles are the np.where and
 broadcast-copy forms of autodiff's leaky ReLU, tile and softmax shift, the
 corpus oracles draw a word one letter at a time and render one image at a
-time on its own canvas, and the PGM reader reads gen-data's files back.
+time on its own canvas, the PGM reader reads gen-data's files back, and the
+init oracles draw a fresh net's parameters one tensor at a time and assemble
+its checkpoint by hand.
 
 The test-only forms: CharGrid, one checked grid, with grid_node to lay a
 list of them side by side as the surrogate takes its input; the 37-symbol
@@ -30,7 +32,8 @@ import numpy as np
 from edsurrogate import autodiff as ad
 from edsurrogate.errors import CapacityError, ConfigError, ShapeError
 from edsurrogate.evaluation import SCATTER_HEADER
-from edsurrogate.recognizer import WordImage
+from edsurrogate.params import CheckpointHeader, ParamStore, save_checkpoint
+from edsurrogate.recognizer import RecognizerConfig, WordImage
 from edsurrogate.surrogate import distance_row
 from edsurrogate.synth_data import LABELS_FILE, META_FILE, DatasetConfig, glyph_bitmap
 from edsurrogate.text_metrics import Alphabet, _checked, encode_batch
@@ -344,3 +347,49 @@ def load_dataset(directory) -> tuple[list[WordImage], DatasetConfig]:
         if int(index) != len(images) - 1:
             raise ValueError("label rows out of order")
     return images, cfg
+
+
+def add_uniform(store: ParamStore, name: str, rng, shape, fan_in: int) -> None:
+    """One parameter drawn from U(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
+    bound = np.sqrt(1.0 / fan_in)
+    store.add(name, rng.uniform(-bound, bound, size=shape))
+
+
+def per_tensor_params(config) -> ParamStore:
+    """The parameters of a fresh net for a RecognizerConfig or SurrogateConfig,
+    drawn one tensor at a time: each conv layer's weight, then its bias, then
+    the same for the head (recognizer) or fc1 and fc2 (surrogate)."""
+    recognizer = isinstance(config, RecognizerConfig)
+    store, rng = ParamStore(), np.random.default_rng(config.seed)
+    c_in = config.image_height if recognizer else config.alphabet_size
+    for i, c_out in enumerate(config.channels):
+        fan_in = c_in * config.kernel
+        add_uniform(store, f"conv{i}.weight", rng, (c_out, c_in, config.kernel), fan_in)
+        add_uniform(store, f"conv{i}.bias", rng, (c_out, 1), fan_in)
+        c_in = c_out
+    if recognizer:
+        dense = [("head", config.alphabet_size)]
+    else:
+        dense = [("fc1", config.hidden), ("fc2", config.embedding_dim)]
+    for name, rows in dense:
+        add_uniform(store, f"{name}.weight", rng, (rows, c_in), c_in)
+        add_uniform(store, f"{name}.bias", rng, (rows, 1), c_in)
+        c_in = rows
+    return store
+
+
+def save_per_tensor_net(path, config) -> None:
+    """The checkpoint of a fresh net for config: per_tensor_params' tensors,
+    then the slope and seed meta tensors, then a recognizer's image shape,
+    under a header whose embedding dim is 0 for a recognizer."""
+    arrays = per_tensor_params(config).to_arrays()
+    arrays["meta.slope"] = np.array([float(config.slope)])
+    arrays["meta.seed"] = np.array([float(config.seed)])
+    embedding_dim = 0
+    if isinstance(config, RecognizerConfig):
+        shape = [config.image_height, config.image_width]
+        arrays["meta.image_shape"] = np.array(shape, dtype=np.float64)
+    else:
+        embedding_dim = config.embedding_dim
+    header = CheckpointHeader(config.alphabet_size, config.capacity, embedding_dim)
+    save_checkpoint(path, header, arrays)

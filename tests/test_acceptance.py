@@ -182,10 +182,10 @@ def test_criterion_2_gradients_match_central_differences():
             def term_recompute(arrays, term=term):
                 probe = SurrogateNet(SUR_TINY)
                 probe.params.load_arrays(arrays)
-                parts = surrogate_loss_parts(z, y, [2], probe, 1.0, 0.1)
+                parts = surrogate_loss_parts(z, y, [2], probe, 0.1)
                 return ad.sum_all(getattr(parts, term)).item()
 
-            parts = surrogate_loss_parts(z, y, [2], snet, 1.0, 0.1)
+            parts = surrogate_loss_parts(z, y, [2], snet, 0.1)
             root = ad.sum_all(getattr(parts, term))
             grads = dict(
                 zip(snet.params.names(), ad.backward(root, snet.params.nodes()))

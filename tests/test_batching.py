@@ -133,9 +133,9 @@ def test_embed_batch_columns_equal_single_embeddings():
 def test_surrogate_loss_batch_equals_loop_on_lsed_mix(w2):
     net = SurrogateNet(SCFG)
     z, y, e = lsed_mix(RecognizerNet(RCFG))
-    batch = surrogate_loss_parts(grid_node(z), grid_node(y), e, net, 1.0, w2)
+    batch = surrogate_loss_parts(grid_node(z), grid_node(y), e, net, w2)
     singles = [
-        surrogate_loss_parts(grid_node([a]), grid_node([b]), [d], net, 1.0, w2)
+        surrogate_loss_parts(grid_node([a]), grid_node([b]), [d], net, w2)
         for a, b, d in zip(z, y, e)
     ]
     terms = ("loss", "e_hat", "fit") + (("penalty",) if w2 > 0 else ())

@@ -237,6 +237,20 @@ def test_surrogate_with_broken_conv_chain_is_rejected_before_building(
         load_surrogate(path)
 
 
+def test_surrogate_with_a_sixth_conv_layer_is_rejected_before_building(tmp_path, monkeypatch):
+    config = SurrogateConfig(
+        alphabet_size=3, capacity=4, embedding_dim=8, channels=(4, 5, 4, 6, 4), hidden=7
+    )
+    path = tmp_path / "bad.bin"
+    save_surrogate(path, SurrogateNet(config))
+    header, arrays = load_checkpoint(path)
+    arrays["conv5.weight"] = np.ones((4, 4, 3))  # reads conv4's 4 channels; fc1 reads 4
+    save_checkpoint(path, header, arrays)
+    monkeypatch.setattr(surrogate_module, "SurrogateNet", _never_built)
+    with pytest.raises(ConfigError, match="surrogate key 'channels' must hold 5 counts"):
+        load_surrogate(path)
+
+
 # --- corrupted bytes ----------------------------------------------------------
 
 PACKAGE_ERRORS = (

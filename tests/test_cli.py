@@ -267,6 +267,8 @@ def test_divergence_is_one_error_line_naming_the_step(tmp_path, capsys, command,
         ("train", "gate_mode", "tune"),  # an option that no longer exists
         ("train", "rho", "tune"),  # ADADELTA's rho and eps are fixed constants
         ("train", "eps", "train-baseline"),
+        ("train", "w1", "tune"),  # the fit term's weight is fixed at 1
+        ("train", "w1", "train-baseline"),
         ("dataset", "colour", "gen-data"),
         ("recognizer", "chanels", "train-baseline"),
         ("surrogate", "hiden", "tune"),
@@ -305,11 +307,9 @@ NAN, INF = float("nan"), float("inf")
         ("tune", "train", "eta_a", NAN),
         ("tune", "train", "eta_b", INF),
         ("tune", "train", "eta_pre", -INF),
-        ("tune", "train", "w1", NAN),
-        ("tune", "train", "w1", INF),
-        ("tune", "recognizer", "channels", [8, 2.5]),
         ("tune", "surrogate", "slope", INF),
         ("tune", "surrogate", "slope", 1.5),
+        ("tune", "recognizer", "channels", [8, 2.5]),
         # sections that the command itself does not build
         ("train-baseline", "surrogate", "slope", NAN),
         ("gen-data", "surrogate", "slope", NAN),
@@ -344,10 +344,9 @@ def test_config_value_of_wrong_type_is_one_error_line(
         (["--lambda", "-1"], {}, "train key 'lam' must be > 0, got -1.0"),
         ([], {"eta_b": 0}, "train key 'eta_b' must be > 0, got 0"),
         ([], {"batch_size": 0}, "train key 'batch_size' must be >= 1, got 0"),
-        ([], {"w1": 0}, "train key 'w1' must be > 0, got 0"),
         ([], {"w2": -0.5}, "train key 'w2' must be >= 0, got -0.5"),
     ],
-    ids=["epochs-flag", "lambda-flag", "eta_b", "batch_size", "w1", "w2"],
+    ids=["epochs-flag", "lambda-flag", "eta_b", "batch_size", "w2"],
 )
 def test_train_value_out_of_range_is_one_error_line_naming_key_and_value(
     tmp_path, capsys, flags, train, message
@@ -358,6 +357,42 @@ def test_train_value_out_of_range_is_one_error_line_naming_key_and_value(
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "t").exists()
+
+
+@pytest.mark.parametrize(
+    "section,key,value,message",
+    [
+        ("dataset", "capacity", 0, "dataset key 'capacity' must be >= 1, got 0"),
+        ("dataset", "image_height", 0, "dataset key 'image_height' must be >= 1, got 0"),
+        ("dataset", "glyph_seed", -1, "dataset key 'glyph_seed' must be >= 0, got -1"),
+        ("surrogate", "hidden", 0, "surrogate key 'hidden' must be >= 1, got 0"),
+        ("surrogate", "seed", -1, "surrogate key 'seed' must lie in [0, 2**53], got -1"),
+        (
+            "recognizer",
+            "kernel",
+            2,
+            "recognizer key 'kernel' must be odd and >= 1, so same-padding is exact, got 2",
+        ),
+        ("train", "mode", "x", "train key 'mode' must be one of ('feds', 'lsed'), got 'x'"),
+    ],
+    ids=[
+        "dataset-capacity",
+        "dataset-image_height",
+        "dataset-glyph_seed",
+        "surrogate-hidden",
+        "surrogate-seed",
+        "recognizer-kernel",
+        "train-mode",
+    ],
+)
+def test_config_value_out_of_range_is_one_error_line_naming_key_and_value(
+    tmp_path, capsys, section, key, value, message
+):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({section: {key: value}}), encoding="utf-8")
+    assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "d")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "d").exists()
 
 
 @pytest.mark.parametrize("glyph_width", [0, -1])
@@ -372,9 +407,12 @@ def test_glyph_width_below_one_is_one_error_line(tmp_path, capsys, glyph_width):
     assert not (tmp_path / "d").exists()
 
 
-@pytest.mark.parametrize("alphabet", ["_a,b\t", "_ab\t", "_a\rb", "_ab\n"])
+@pytest.mark.parametrize(
+    "alphabet", ["_a,b\t", "_ab\t", "_a\rb", "_ab\n", "_a\u2028b", "_a\x85b", "_a\x1cb"]
+)
 def test_alphabet_holding_a_file_separator_is_one_error_line(tmp_path, capsys, alphabet):
-    # metrics.csv splits on commas and labels.tsv on tabs, both by line.
+    # metrics.csv splits on commas and labels.tsv on tabs, both by line, and
+    # their readers split lines with str.splitlines.
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"dataset": {"alphabet": alphabet}}), encoding="utf-8")
     assert main(["train-baseline", "--config", str(path), "--out", str(tmp_path / "b")]) == 2

@@ -9,6 +9,12 @@ from edsurrogate.params import (
     load_checkpoint,
     save_checkpoint,
 )
+from edsurrogate.recognizer import RecognizerConfig, RecognizerNet, save_recognizer
+from edsurrogate.surrogate import SurrogateConfig, SurrogateNet, save_surrogate
+from edsurrogate.synth_data import DatasetConfig
+from edsurrogate.training import net_config
+
+from . import oracles
 
 RNG = np.random.default_rng(7)
 
@@ -130,3 +136,39 @@ def test_load_arrays_requires_matching_names(tmp_path):
     arrays["stranger"] = np.ones(2)
     with pytest.raises(CheckpointError):
         store.load_arrays(arrays)
+
+
+DESK = DatasetConfig.desk()
+NET_CONFIGS = {
+    "desk-recognizer": net_config(RecognizerConfig, "recognizer", DESK, 0),
+    "desk-surrogate": net_config(SurrogateConfig, "surrogate", DESK, 0),
+    "desk-recognizer-seed3": net_config(RecognizerConfig, "recognizer", DESK, 3),
+    "desk-surrogate-seed3": net_config(SurrogateConfig, "surrogate", DESK, 3),
+    "tiny-recognizer": RecognizerConfig(
+        alphabet_size=3, capacity=2, image_height=3, image_width=4, channels=(2,)
+    ),
+    "tiny-recognizer-kernel5": RecognizerConfig(
+        alphabet_size=3, capacity=4, image_height=5, image_width=12, channels=(6, 7), kernel=5,
+        slope=0.2, seed=11,
+    ),
+    "tiny-surrogate": SurrogateConfig(
+        alphabet_size=3, capacity=2, embedding_dim=2, channels=(2,) * 5, hidden=2
+    ),
+    "tiny-surrogate-kernel5": SurrogateConfig(
+        alphabet_size=3, capacity=4, embedding_dim=8, channels=(4, 5, 4, 6, 4), kernel=5,
+        hidden=7, slope=0.0, seed=9,
+    ),
+}
+
+
+@pytest.mark.parametrize("config", NET_CONFIGS.values(), ids=NET_CONFIGS.keys())
+def test_fresh_nets_and_checkpoints_equal_the_per_tensor_init_oracle(tmp_path, config):
+    recognizer = isinstance(config, RecognizerConfig)
+    net = RecognizerNet(config) if recognizer else SurrogateNet(config)
+    expected = oracles.per_tensor_params(config)
+    assert net.params.names() == expected.names()
+    for name in expected.names():
+        assert net.params.node(name).values.tobytes() == expected.node(name).values.tobytes()
+    (save_recognizer if recognizer else save_surrogate)(tmp_path / "net.bin", net)
+    oracles.save_per_tensor_net(tmp_path / "oracle.bin", config)
+    assert (tmp_path / "net.bin").read_bytes() == (tmp_path / "oracle.bin").read_bytes()

@@ -1,6 +1,7 @@
 """The suite's own config and the package's shape: a failing hypothesis
 property must report its falsifying example under filterwarnings = error,
-and every public name in src/ must have a caller outside the tests."""
+every public name in src/ must have a caller outside the tests, and no
+module in src/ or scripts/ imports a private name of a package module."""
 
 import ast
 import subprocess
@@ -77,3 +78,18 @@ def test_every_public_src_name_has_a_non_test_caller():
         if name not in referenced and name not in UNCALLED_ON_PURPOSE
     ]
     assert not uncalled, f"public names with no caller outside the tests: {uncalled}"
+
+
+def test_no_src_or_script_module_imports_a_private_package_name():
+    modules = sorted((ROOT / "src" / "edsurrogate").glob("*.py"))
+    modules += sorted((ROOT / "scripts").glob("*.py"))
+    private = [
+        f"{path.relative_to(ROOT)}:{node.lineno} {alias.name}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_bytes()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "edsurrogate")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private, f"imports of private package names: {private}"

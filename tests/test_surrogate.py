@@ -110,10 +110,10 @@ def test_loss_is_weighted_sum_of_its_parts():
     net = SurrogateNet(TINY)
     rng = np.random.default_rng(3)
     parts = surrogate_loss_parts(
-        grid_node([random_grid(rng)]), grid_node([random_grid(rng)]), [2], net, 1.0, 0.1
+        grid_node([random_grid(rng)]), grid_node([random_grid(rng)]), [2], net, 0.1
     )
     assert parts.penalty is not None
-    expected = 1.0 * parts.fit.values.item() + 0.1 * parts.penalty.values.item()
+    expected = parts.fit.values.item() + 0.1 * parts.penalty.values.item()
     assert parts.loss.values.item() == pytest.approx(expected, rel=1e-12)
 
 
@@ -121,7 +121,7 @@ def test_w2_zero_reduces_to_squared_error():
     net = SurrogateNet(TINY)
     rng = np.random.default_rng(4)
     z, y = random_grid(rng), random_grid(rng)
-    parts = surrogate_loss_parts(grid_node([z]), grid_node([y]), [1], net, 1.0, 0.0)
+    parts = surrogate_loss_parts(grid_node([z]), grid_node([y]), [1], net, 0.0)
     e_hat = distance(z, y, net)
     assert parts.penalty is None
     assert parts.loss.values.item() == pytest.approx((e_hat - 1.0) ** 2, rel=1e-12)
@@ -131,23 +131,23 @@ def test_one_hot_grids_accepted():
     net = SurrogateNet(TINY)
     y = encode_one_hot("ab", ALPHABET, TINY.capacity)
     z = encode_one_hot("ba", ALPHABET, TINY.capacity)
-    loss = surrogate_loss_parts(grid_node([z]), grid_node([y]), [2], net, 1.0, 0.1).loss
+    loss = surrogate_loss_parts(grid_node([z]), grid_node([y]), [2], net, 0.1).loss
     assert np.isfinite(loss.values.item())
 
 
 def _loss_with_arrays(arrays, z, y, e, weights, term):
     net = SurrogateNet(TINY)
     net.params.load_arrays(arrays)
-    parts = surrogate_loss_parts(grid_node([z]), grid_node([y]), [e], net, *weights)
+    parts = surrogate_loss_parts(grid_node([z]), grid_node([y]), [e], net, **weights)
     return ad.sum_all({"loss": parts.loss, "fit": parts.fit, "penalty": parts.penalty}[term])
 
 
 @pytest.mark.parametrize(
     "weights,term,rel",
     [
-        ((1.0, 0.0), "fit", 1e-4),  # (w1, w2)
-        ((1.0, 0.1), "penalty", 1e-3),
-        ((1.0, 0.1), "loss", 1e-3),
+        ({"w2": 0.0}, "fit", 1e-4),
+        ({"w2": 0.1}, "penalty", 1e-3),
+        ({"w2": 0.1}, "loss", 1e-3),
     ],
 )
 def test_loss_gradient_wrt_weights_matches_fd(weights, term, rel):
@@ -157,7 +157,7 @@ def test_loss_gradient_wrt_weights_matches_fd(weights, term, rel):
     z, y = random_grid(rng), random_grid(rng)
     e = 2
 
-    parts = surrogate_loss_parts(grid_node([z]), grid_node([y]), [e], net, *weights)
+    parts = surrogate_loss_parts(grid_node([z]), grid_node([y]), [e], net, **weights)
     root = ad.sum_all({"loss": parts.loss, "fit": parts.fit, "penalty": parts.penalty}[term])
     leaves = net.params.nodes()
     grads = ad.backward(root, leaves, create_graph=False)

@@ -1,3 +1,7 @@
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,6 +9,13 @@ from hypothesis import strategies as st
 
 from edsurrogate import synth_data
 from edsurrogate.errors import CapacityError, ConfigError
+from edsurrogate.evaluation import (
+    export_scatter,
+    read_log_csv,
+    read_metrics_csv,
+    write_log_csv,
+    write_metrics_csv,
+)
 from edsurrogate.synth_data import (
     DatasetConfig,
     glyph_bitmap,
@@ -15,10 +26,17 @@ from edsurrogate.synth_data import (
     save_dataset,
     split_corpus,
 )
-from edsurrogate.text_metrics import Alphabet, edit_distance
+from edsurrogate.text_metrics import Alphabet, edit_distance, evaluate_set
+from edsurrogate.training import (
+    GENERATED_SAMPLE_INDEX,
+    PHASE_PRETRAIN,
+    PHASE_RECOGNIZER,
+    PHASE_SURROGATE,
+    PhaseLogRecord,
+)
 
 from . import oracles
-from .oracles import load_dataset, parse_pgm, recursive_edit_distance
+from .oracles import load_dataset, parse_pgm, read_scatter_csv, recursive_edit_distance
 
 CFG = DatasetConfig.desk()
 SMALL = DatasetConfig.desk(corpus_size=10)
@@ -84,7 +102,10 @@ def dataset_configs(draw) -> DatasetConfig:
     slack = draw(st.integers(0, 2))
     symbols = draw(
         st.lists(
-            st.characters(exclude_characters=",\t\r\n"), min_size=2, max_size=6, unique=True
+            st.characters(exclude_characters=synth_data.SEPARATORS),
+            min_size=2,
+            max_size=6,
+            unique=True,
         )
     )
     return DatasetConfig(
@@ -111,6 +132,58 @@ def dataset_configs(draw) -> DatasetConfig:
 def test_corpus_equals_the_per_image_oracle(cfg):
     rendered = [(w.label, w.pixels.tobytes()) for w in sample_corpus(cfg)]
     assert rendered == reference_corpus(cfg)
+
+
+LOG_RECORDS = st.builds(
+    PhaseLogRecord,
+    epoch=st.integers(0, 9),
+    phase=st.sampled_from([PHASE_PRETRAIN, PHASE_SURROGATE, PHASE_RECOGNIZER]),
+    iteration=st.integers(0, 10**6),
+    sample_index=st.integers(GENERATED_SAMPLE_INDEX, 10**6),
+    e=st.integers(0, 10**6),
+    e_hat=st.floats(),
+    loss=st.floats(),
+    gate_open=st.booleans(),
+)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    dataset_configs(),
+    st.lists(LOG_RECORDS, min_size=1, max_size=20),
+    st.floats(min_value=0, exclude_min=True, allow_infinity=False),
+)
+@example(
+    DatasetConfig.desk(alphabet="_aé中😀", corpus_size=5),
+    [PhaseLogRecord(0, PHASE_PRETRAIN, 0, 5, 2, float("nan"), 0.5, False)],
+    0.25,
+)
+def test_each_file_the_package_writes_reads_back(cfg, records, lam):
+    """log.csv, metrics.csv, the scatter export and labels.tsv each return
+    what was written, for any accepted dataset config. Floats compare by repr,
+    so NaN matches NaN."""
+    images = sample_corpus(cfg)
+    labels = [image.label for image in images]
+    report = evaluate_set([label[::-1] for label in labels[1:]] + [""], labels)
+    # export_scatter writes the recognizer-phase records and needs at least one
+    tuned = [replace(r, phase=PHASE_RECOGNIZER) for r in records[:1]] + records
+    with tempfile.TemporaryDirectory() as folder:
+        folder = Path(folder)
+        write_log_csv(folder / "log.csv", tuned)
+        assert repr(read_log_csv(folder / "log.csv")) == repr(tuned)
+        write_metrics_csv(folder / "metrics.csv", report)
+        assert read_metrics_csv(folder / "metrics.csv") == [
+            (index, *row) for index, row in enumerate(report.rows)
+        ]
+        export_scatter(folder / "scatter.csv", tuned, 0, 9, lam)
+        rows = [(r.e, r.e_hat, r.iteration) for r in tuned if r.phase == PHASE_RECOGNIZER]
+        assert repr(read_scatter_csv(folder / "scatter.csv")) == repr((lam, rows))
+        save_dataset(folder / "data", images, cfg)
+        loaded, loaded_cfg = load_dataset(folder / "data")
+    assert loaded_cfg == cfg
+    assert [image.label for image in loaded] == labels
+    for image, back in zip(images, loaded):
+        assert np.max(np.abs(image.pixels - back.pixels)) <= 0.5 / 255.0 + 1e-12
 
 
 def test_pair_generator_is_unchanged_with_the_per_letter_word_oracle(monkeypatch):
