@@ -7,12 +7,15 @@ returned gradients can be differentiated again with another `backward`.
 Only `create_graph` needs that graph. Any other `backward` is a freeing
 sweep: while it runs, a new node keeps its value but records no parents, so
 each VJP output is a bare leaf, and each adjoint is dropped once its node's
-VJP has used it. The gradient graph then never outlives the sweep.
+VJP has used it. The gradient graph then never outlives the sweep. A new node
+checks its values are finite, except inside `unchecked`: there the caller
+checks what it uses with `all_finite`.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -22,6 +25,25 @@ EPS_NORM = 1e-12
 
 # False while a backward without create_graph runs; read by DiffNode.
 _recording = True
+# False inside unchecked(); read by DiffNode.
+_checking = True
+
+
+def all_finite(values: np.ndarray) -> bool:
+    """No NaN or ±inf in values. The exact check runs only when the fast sum
+    is non-finite, which also clears a sum that merely overflowed."""
+    return math.isfinite(values.sum()) or bool(np.isfinite(values).all())
+
+
+@contextmanager
+def unchecked():
+    """Build nodes without the per-node finiteness check."""
+    global _checking
+    previous, _checking = _checking, False
+    try:
+        yield
+    finally:
+        _checking = previous
 
 
 class DiffNode:
@@ -33,9 +55,7 @@ class DiffNode:
     def __init__(self, values, vjp=None, parents=(), requires_grad=False, meta=None):
         if not isinstance(values, np.ndarray) or values.dtype != np.float64:
             values = np.asarray(values, dtype=np.float64)
-        # Sum-based fast path; the exact check runs only when the sum is
-        # non-finite, which also clears a sum that merely overflowed.
-        if not math.isfinite(values.sum()) and not np.isfinite(values).all():
+        if _checking and not all_finite(values):
             raise NumericError(f"non-finite values produced by op {_op_name(vjp)!r}")
         values.setflags(write=False)
         if not _recording:

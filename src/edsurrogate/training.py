@@ -169,12 +169,14 @@ def adadelta_step(
         params.assign(name, params.node(name).values - lr * delta)
 
 
-def _descend(params: ParamStore, losses: DiffNode, state, lr: float):
-    """One optimizer step on the batch mean of a (1, B) row of per-sample losses."""
+def _gradients(step, indices, rng, cache, params):
+    """Run step: the batch mean of its (1, B) loss row, that row as floats,
+    its log columns and each parameter's gradient of the mean, with the
+    step's graph gone on return."""
+    losses, columns = step(indices, rng, cache)
     root = ad.mul_scalar(ad.sum_all(losses), 1.0 / losses.shape[1])
     grads = ad.backward(root, params.nodes())
-    values = {name: g.values for name, g in zip(params.names(), grads)}
-    adadelta_step(params, values, state, lr)
+    return root.values, losses.values[0].tolist(), columns, [g.values for g in grads]
 
 
 def _edit_distances(z_values: np.ndarray, images: list[WordImage], alphabet) -> list[int]:
@@ -188,24 +190,38 @@ _STREAMS = {PHASE_PRETRAIN: 0, PHASE_SURROGATE: 1, PHASE_RECOGNIZER: 2}
 
 def _run_phase(phase, epoch, iterations, images, cfg, params, state, lr, step, logs) -> None:
     """The step loop every phase shares. Each iteration draws batch_size
-    indices from the phase's keyed generator; step(indices, rng) returns the
-    batch's (1, B) loss row and per-sample (index, e, e_hat, gate) columns,
-    logged when logs is not None; params then descend at rate lr. A
+    indices from the phase's keyed generator; step(indices, rng, cache), given
+    the phase's cache dict, returns the batch's (1, B) loss row and per-sample
+    (index, e, e_hat, gate) columns, logged when logs is not None; params then
+    descend at rate lr. The step's graph is built unchecked and silent, then
+    its batch mean and gradients are checked once. A failed check or any
+    ValueError replays the step with per-node checks from the saved generator
+    state and cache, so the error names the op that first went non-finite. A
     NumericError is re-raised naming the phase, epoch and iteration."""
     if not images:
         raise ConfigError("empty training set")
     rng = np.random.default_rng([cfg.seed, epoch, _STREAMS[phase]])
+    cache = {}
     with one_blas_thread():
         for iteration in range(iterations):
             indices = [int(index) for index in rng.integers(0, len(images), size=cfg.batch_size)]
+            saved_rng, saved_cache = rng.bit_generator.state, dict(cache)
             try:
-                losses, columns = step(indices, rng)
+                try:
+                    with ad.unchecked(), np.errstate(all="ignore"):
+                        mean, losses, columns, grads = _gradients(step, indices, rng, cache, params)
+                    if not all(map(ad.all_finite, [mean, *grads])):
+                        raise NumericError("non-finite loss or gradient")
+                except ValueError as exc:
+                    rng.bit_generator.state = saved_rng
+                    _gradients(step, indices, rng, saved_cache, params)
+                    raise NumericError("non-finite loss or gradient") from exc
                 if logs is not None:
                     logs.extend(
                         PhaseLogRecord(epoch, phase, iteration, index, e, e_hat, loss, gate)
-                        for index, e, e_hat, gate, loss in zip(*columns, losses.values[0].tolist())
+                        for index, e, e_hat, gate, loss in zip(*columns, losses)
                     )
-                _descend(params, losses, state, lr)
+                adadelta_step(params, dict(zip(params.names(), grads)), state, lr)
             except NumericError as exc:
                 raise NumericError(
                     f"{phase} phase diverged at epoch {epoch}, iteration {iteration}: {exc}"
@@ -224,7 +240,7 @@ def pretrain_recognizer(
     """Plain cross-entropy training of the recognizer (the baseline). Without
     logs, nothing is decoded."""
 
-    def step(indices, rng):
+    def step(indices, rng, cache):
         batch = [images[index] for index in indices]
         y_values = encode_batch([image.label for image in batch], dcfg.alphabet, dcfg.capacity)
         z_node = forward(batch, recognizer)
@@ -254,12 +270,11 @@ def train_surrogate_phase(
     triples from the frozen recognizer. In lsed mode every odd batch position
     holds a pair from the random pair generator instead, drawn after the
     batch's indices."""
-    # index -> (predicted grid, target grid, edit distance), for this phase;
-    # the grids are column views of their miss batch's arrays
-    cache = {}
     generated = range(1, cfg.batch_size, 2) if cfg.mode == "lsed" else range(0)
 
-    def step(indices, rng):
+    # cache: index -> (predicted grid, target grid, edit distance), the grids
+    # column views of their miss batch's arrays
+    def step(indices, rng, cache):
         pairs = {position: random_pair_generator(dcfg, rng) for position in generated}
         real = [index for position, index in enumerate(indices) if position not in pairs]
         misses = list(dict.fromkeys(index for index in real if index not in cache))
@@ -305,10 +320,9 @@ def tune_recognizer_phase(
     """i_b updates of the recognizer against the frozen surrogate. FEDS mode
     gates each sample on |e_hat - e| < lambda; lsed mode trains ungated."""
     lam = math.inf if cfg.mode == "lsed" else cfg.lam  # an infinite band keeps every gate open
-    # label -> its target grid's embedding under the frozen surrogate
-    targets: dict[str, np.ndarray] = {}
 
-    def step(indices, rng):
+    # targets: label -> its target grid's embedding under the frozen surrogate
+    def step(indices, rng, targets):
         batch = [images[index] for index in indices]
         new = list(dict.fromkeys(im.label for im in batch if im.label not in targets))
         if new:

@@ -1,3 +1,4 @@
+import weakref
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from edsurrogate import autodiff as ad
 from edsurrogate import recognizer as recognizer_module
 from edsurrogate import synth_data, training
-from edsurrogate.errors import ConfigError
+from edsurrogate.errors import ConfigError, NumericError
 from edsurrogate.evaluation import write_log_csv
 from edsurrogate.params import ParamStore
 from edsurrogate.recognizer import RecognizerConfig, RecognizerNet, forward
@@ -411,6 +412,176 @@ def test_desk_steps_decode_and_check_their_batch_once(monkeypatch):
         calls.clear()
         phase(split.train, recognizer, surrogate_net, cfg, DCFG, 1, OptimizerState(net.params), [])
         assert calls == {"decode_greedy": 1}, phase.__name__
+
+
+def test_desk_steps_check_finiteness_once_per_result(monkeypatch):
+    # The step's graph is built unchecked: one check of the batch mean, one
+    # of each parameter's gradient and one of each parameter it assigns.
+    split = split_corpus(sample_corpus(DCFG))
+    cfg = TrainConfig.desk(i_a=1, i_b=1, mode="feds")
+    recognizer, surrogate_net = build_recognizer(DCFG, 0), build_surrogate(DCFG, 0)
+    checks = [0]
+    all_finite = ad.all_finite
+
+    def counting_all_finite(values):
+        checks[0] += 1
+        return all_finite(values)
+
+    monkeypatch.setattr(ad, "all_finite", counting_all_finite)
+    for phase, net in (
+        (train_surrogate_phase, surrogate_net),
+        (tune_recognizer_phase, recognizer),
+    ):
+        checks[0] = 0
+        phase(split.train, recognizer, surrogate_net, cfg, DCFG, 1, OptimizerState(net.params), [])
+        assert checks[0] <= 1 + 2 * len(net.params.names()), phase.__name__
+
+
+def test_each_step_releases_its_graph_before_the_next_backward(monkeypatch):
+    # A weakref to each step's loss values, which live as long as its loss
+    # node; at every backward, the loss of each earlier step must be gone.
+    split = split_corpus(sample_corpus(DCFG))
+    cfg = TrainConfig.desk(i_a=3, i_b=3, mode="feds")
+    recognizer, surrogate_net = build_recognizer(DCFG, 0), build_surrogate(DCFG, 0)
+    losses, live_earlier = [], []
+
+    def watch(module, name):
+        function = getattr(module, name)
+
+        def watched(*args, **kwargs):
+            losses.append(None)  # a new step starts
+            parts = function(*args, **kwargs)
+            losses[-1] = weakref.ref(parts.loss.values)
+            return parts
+
+        monkeypatch.setattr(module, name, watched)
+
+    backward = ad.backward
+
+    def watched_backward(*args, **kwargs):
+        live_earlier.append(sum(ref() is not None for ref in losses[:-1]))
+        return backward(*args, **kwargs)
+
+    watch(training, "surrogate_loss_parts")
+    watch(training, "filtered_str_loss_parts")
+    monkeypatch.setattr(ad, "backward", watched_backward)
+    for phase, net in (
+        (train_surrogate_phase, surrogate_net),
+        (tune_recognizer_phase, recognizer),
+    ):
+        phase(split.train, recognizer, surrogate_net, cfg, DCFG, 1, OptimizerState(net.params), [])
+    assert len(losses) == cfg.i_a + cfg.i_b
+    assert len(live_earlier) == 2 * cfg.i_a + cfg.i_b  # the surrogate's penalty backward too
+    assert not any(live_earlier)
+
+
+def _scaled_surrogate(factor) -> SurrogateNet:
+    net = SurrogateNet(SCFG)
+    for name in ("conv0.weight", "conv1.weight"):
+        net.params.assign(name, net.params.node(name).values * factor)
+    return net
+
+
+@pytest.mark.parametrize("mode", training.MODES)
+def test_replayed_step_names_the_op_behind_a_non_finite_cached_target(mode):
+    # The failed unchecked attempt fills the target cache with non-finite
+    # embeddings; the replay starts from the cache as it was before the step.
+    split = split_corpus(sample_corpus(DCFG))
+    recognizer, surrogate_net = RecognizerNet(RCFG), _scaled_surrogate(1e200)
+    state = OptimizerState(recognizer.params)
+    with np.errstate(all="ignore"), pytest.raises(NumericError) as info:
+        tune_recognizer_phase(
+            split.train, recognizer, surrogate_net, small_config(mode=mode), DCFG, 1, state, []
+        )
+    assert str(info.value) == (
+        "recognizer phase diverged at epoch 1, iteration 0: "
+        "non-finite values produced by op 'conv'"
+    )
+
+
+@pytest.mark.parametrize("logs", [None, []], ids=["unlogged", "logged"])
+def test_replayed_pretrain_step_names_the_op_behind_a_diverged_update(logs):
+    split = split_corpus(sample_corpus(DCFG))
+    with np.errstate(all="ignore"), pytest.raises(NumericError) as info:
+        pretrain_recognizer(
+            split.train, RecognizerNet(RCFG), small_config(eta_pre=1e300), DCFG, logs
+        )
+    assert str(info.value) == (
+        "pretrain phase diverged at epoch 0, iteration 1: "
+        "non-finite values produced by op 'conv'"
+    )
+
+
+def test_diverged_phase_restores_the_per_node_check():
+    split = split_corpus(sample_corpus(DCFG))
+    with np.errstate(all="ignore"), pytest.raises(NumericError):
+        pretrain_recognizer(split.train, RecognizerNet(RCFG), small_config(eta_pre=1e300), DCFG)
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="op 'exp'"):
+        ad.exp(ad.constant([1000.0]))
+
+
+def test_replay_starts_from_the_saved_generator_state_and_cache():
+    # The first attempt's loss is inf; the replay's is finite, so the step
+    # still fails, and both attempts drew the same number from the same cache.
+    params = ParamStore()
+    params.add("w", [[1.0]])
+    seen = []
+
+    def step(indices, rng, cache):
+        seen.append((rng.random(), dict(cache)))
+        cache[len(seen)] = "filled"
+        scale = ad.constant([[np.inf if len(seen) == 1 else 1.0]])
+        return ad.mul(params.node("w"), scale), (indices, [0], [0.0], [True])
+
+    cfg = small_config(batch_size=1)
+    with pytest.raises(NumericError) as info:
+        training._run_phase(
+            "pretrain", 0, 1, [None], cfg, params, OptimizerState(params), 1.0, step, None
+        )
+    assert str(info.value) == (
+        "pretrain phase diverged at epoch 0, iteration 0: non-finite loss or gradient"
+    )
+    assert len(seen) == 2 and seen[0] == seen[1]
+    assert params.node("w").values.tolist() == [[1.0]]
+
+
+def test_step_with_a_finite_loss_and_a_non_finite_gradient_names_its_op():
+    # sqrt(0) is 0, but its gradient 0.5 / sqrt(0) is inf.
+    params = ParamStore()
+    params.add("w", [[0.0]])
+
+    def step(indices, rng, cache):
+        return ad.sqrt(params.node("w")), (indices, [0], [0.0], [True])
+
+    cfg = small_config(batch_size=1)
+    with np.errstate(all="ignore"), pytest.raises(NumericError) as info:
+        training._run_phase(
+            "pretrain", 0, 1, [None], cfg, params, OptimizerState(params), 1.0, step, None
+        )
+    assert str(info.value) == (
+        "pretrain phase diverged at epoch 0, iteration 0: non-finite values produced by op 'div'"
+    )
+
+
+def test_step_with_an_absorbed_inf_completes():
+    # w / exp(1000) is w / inf = 0: the inf never reaches the loss or the
+    # gradient, so the step descends. A per-node check would have stopped it.
+    params = ParamStore()
+    params.add("w", [[1.0, -2.0]])
+    logs = []
+
+    def step(indices, rng, cache):
+        w = params.node("w")
+        absorbed = ad.div(w, ad.exp(ad.constant([[1000.0, 1000.0]])))
+        losses = ad.add(ad.square(w), absorbed)
+        return losses, (indices, [0, 0], [0.0, 0.0], [True, True])
+
+    cfg = small_config(batch_size=2)
+    training._run_phase(
+        "pretrain", 0, 1, [None] * 3, cfg, params, OptimizerState(params), 1.0, step, logs
+    )
+    assert [record.loss for record in logs] == [1.0, 4.0]
+    assert np.all(np.abs(params.node("w").values) < [[1.0, 2.0]])
 
 
 def test_post_tuning_rejects_baseline_mode():
