@@ -48,7 +48,9 @@ def unchecked():
 
 class DiffNode:
     """One node of the graph: a frozen value plus how it was produced, its
-    VJP builder (None for a leaf) with the parents and meta it reads."""
+    VJP builder (None for a leaf) with the parents and meta it reads.
+    `requires_grad` marks a `variable` leaf, the only node `backward`
+    accepts in `wrt`."""
 
     __slots__ = ("values", "vjp", "parents", "requires_grad", "meta")
 
@@ -64,10 +66,7 @@ class DiffNode:
         self.vjp = vjp
         self.parents = parents
         self.meta = meta
-        if requires_grad:
-            self.requires_grad = True
-        else:
-            self.requires_grad = any(p.requires_grad for p in parents)
+        self.requires_grad = requires_grad
 
     @property
     def shape(self):
@@ -76,9 +75,6 @@ class DiffNode:
     @property
     def ndim(self):
         return self.values.ndim
-
-    def item(self) -> float:
-        return float(self.values)
 
     def __repr__(self):
         return (
@@ -126,10 +122,6 @@ def sub(a, b):
     return DiffNode(a.values - b.values, _vjp_sub, (a, b))
 
 
-def neg(a):
-    return DiffNode(-a.values, _vjp_neg, (a,))
-
-
 def mul(a, b):
     _require_same_shape(a, b, "mul")
     return DiffNode(a.values * b.values, _vjp_mul, (a, b))
@@ -142,10 +134,6 @@ def div(a, b):
 
 def add_scalar(a, c):
     return DiffNode(a.values + float(c), _vjp_add_scalar, (a,))
-
-
-def mul_scalar(a, c):
-    return DiffNode(a.values * float(c), _vjp_mul_scalar, (a,), meta=float(c))
 
 
 def square(a):
@@ -168,7 +156,7 @@ def log(a):
     return DiffNode(np.log(a.values), _vjp_log, (a,))
 
 
-def leaky_relu(a, slope=0.01):
+def leaky_relu(a, slope):
     """max(a, slope*a): equal to a where a > 0 and slope*a elsewhere, signed
     zeros included, for 0 <= slope <= 1, the only slopes accepted."""
     if not 0 <= slope <= 1:
@@ -183,7 +171,8 @@ def clamp_min(a, floor):
 
 
 def mul_const(a, factor):
-    """a times a fixed array that is never differentiated, such as a mask."""
+    """a times a fixed float or array that is never differentiated, such as
+    a mean's 1/n or a mask."""
     return DiffNode(a.values * factor, _vjp_mul_const, (a,), meta=factor)
 
 
@@ -317,11 +306,7 @@ def _vjp_add(node, g, needed):
 
 
 def _vjp_sub(node, g, needed):
-    return (g if needed[0] else None, neg(g) if needed[1] else None)
-
-
-def _vjp_neg(node, g, needed):
-    return (neg(g),)
+    return (g if needed[0] else None, mul_const(g, -1.0) if needed[1] else None)
 
 
 def _vjp_mul(node, g, needed):
@@ -332,7 +317,7 @@ def _vjp_mul(node, g, needed):
 def _vjp_div(node, g, needed):
     a, b = node.parents
     ga = div(g, b) if needed[0] else None
-    gb = neg(div(mul(g, node), b)) if needed[1] else None
+    gb = mul_const(div(mul(g, node), b), -1.0) if needed[1] else None
     return (ga, gb)
 
 
@@ -340,17 +325,13 @@ def _vjp_add_scalar(node, g, needed):
     return (g,)
 
 
-def _vjp_mul_scalar(node, g, needed):
-    return (mul_scalar(g, node.meta),)
-
-
 def _vjp_square(node, g, needed):
     (a,) = node.parents
-    return (mul_scalar(mul(g, a), 2.0),)
+    return (mul_const(mul(g, a), 2.0),)
 
 
 def _vjp_sqrt(node, g, needed):
-    return (div(mul_scalar(g, 0.5), node),)
+    return (div(mul_const(g, 0.5), node),)
 
 
 def _vjp_exp(node, g, needed):
@@ -480,24 +461,31 @@ def segment_sum(a, segments):
     return reshape(sum_axis(reshape(a, (rows * segments, width)), 1), (rows, segments))
 
 
-def segment_norms(a, segments, eps=EPS_NORM):
-    """(C, S*w) -> (1, S): sqrt(sum(a^2) + eps) of each w-wide column block."""
-    return sqrt(add_scalar(sum_axis(segment_sum(square(a), segments), 0), eps))
+def segment_norms(a, segments):
+    """(C, S*w) -> (1, S): sqrt(sum(a^2) + EPS_NORM) of each w-wide column block."""
+    return sqrt(add_scalar(sum_axis(segment_sum(square(a), segments), 0), EPS_NORM))
 
 
 # ---------------------------------------------------------------------------
 # Reverse-mode differentiation.
 # ---------------------------------------------------------------------------
 
-def _topo_order(root):
-    """Parents-before-children ordering, deterministic in graph structure."""
+def _topo_order(root, wanted):
+    """One DFS from root, deterministic in graph structure. A node is active
+    when it is in `wanted` or has an active parent, decided as it is emitted
+    in post-order, after its parents. Returns the active ids and the active
+    nodes that have parents, parents first."""
     order = []
+    active = set()
     visited = set()
     stack = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
-            order.append(node)
+            if id(node) in wanted or any(id(p) in active for p in node.parents):
+                active.add(id(node))
+                if node.parents:
+                    order.append(node)
             continue
         if id(node) in visited:
             continue
@@ -506,16 +494,16 @@ def _topo_order(root):
         for parent in reversed(node.parents):
             if id(parent) not in visited:
                 stack.append((parent, False))
-    return order
+    return active, order
 
 
 def backward(root, wrt, create_graph=False):
     """Gradients of a scalar root w.r.t. each node in `wrt`.
 
-    With create_graph the returned gradients are ordinary graph nodes,
-    so they can be fed into another `backward`; without it they are bare
-    leaves (see the module docstring). Nodes unreachable from the root get
-    an exact zero gradient.
+    Every wrt node must be a variable leaf. With create_graph the returned
+    gradients are ordinary graph nodes, so they can be fed into another
+    `backward`; without it they are bare leaves (see the module docstring).
+    Nodes unreachable from the root get an exact zero gradient.
     """
     global _recording
     if root.shape != ():
@@ -525,25 +513,13 @@ def backward(root, wrt, create_graph=False):
         if not node.requires_grad:
             raise ValueError("every wrt node must have requires_grad set")
 
-    order = _topo_order(root)
-    # Restrict work to nodes through which some wrt node is reachable.
-    active = {id(node) for node in wrt}
-    for node in order:
-        if id(node) in active:
-            continue
-        for parent in node.parents:
-            if id(parent) in active:
-                active.add(id(node))
-                break
-
     wanted = {id(node) for node in wrt}
+    active, order = _topo_order(root, wanted)
     adjoints = {id(root): DiffNode(np.float64(1.0))}
     previous, _recording = _recording, create_graph
     try:
         for node in reversed(order):
             nid = id(node)
-            if nid not in active or not node.parents:
-                continue
             grad = adjoints.get(nid) if nid in wanted else adjoints.pop(nid, None)
             if grad is None:
                 continue

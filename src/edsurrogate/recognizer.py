@@ -100,7 +100,7 @@ def forward(images: WordImage | Sequence[WordImage], net: RecognizerNet) -> Diff
     for i in range(len(config.channels)):
         x = ad.leaky_relu(ad.conv1d(x, *net.params.layer(f"conv{i}"), len(batch)), config.slope)
     stride = config.image_width // config.capacity
-    pooled = ad.mul_scalar(ad.segment_sum(x, len(batch) * config.capacity), 1.0 / stride)
+    pooled = ad.mul_const(ad.segment_sum(x, len(batch) * config.capacity), 1.0 / stride)
     weight, bias = net.params.layer("head")
     logits = ad.linear(weight, pooled, bias)
     return ad.softmax_columns(logits)
@@ -116,7 +116,7 @@ def ce_loss(z_hat: DiffNode, y_values: np.ndarray, count: int) -> DiffNode:
         raise ShapeError(f"prediction shape {z_hat.shape} != target shape {y_values.shape}")
     logs = ad.log(ad.clamp_min(z_hat, 1e-12))
     products = ad.segment_sum(ad.mul(ad.constant(y_values), logs), count)
-    return ad.mul_scalar(ad.sum_axis(products, 0), -count / y_values.size)
+    return ad.mul_const(ad.sum_axis(products, 0), -count / y_values.size)
 
 
 def save_recognizer(path, net: RecognizerNet) -> None:

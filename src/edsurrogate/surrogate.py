@@ -86,7 +86,7 @@ def embed(grids: DiffNode, net: SurrogateNet) -> DiffNode:
     batch = x.shape[1] // config.capacity
     for i in range(CONV_LAYERS):
         x = ad.leaky_relu(ad.conv1d(x, *net.params.layer(f"conv{i}"), batch), config.slope)
-    pooled = ad.mul_scalar(ad.segment_sum(x, batch), 1.0 / config.capacity)
+    pooled = ad.mul_const(ad.segment_sum(x, batch), 1.0 / config.capacity)
     weight, bias = net.params.layer("fc1")
     h = ad.leaky_relu(ad.linear(weight, pooled, bias), config.slope)
     weight, bias = net.params.layer("fc2")
@@ -132,7 +132,7 @@ def surrogate_loss_parts(
     if w2 > 0:
         (grad_z,) = ad.backward(ad.sum_all(e_hat), [z_node], create_graph=True)
         penalty = ad.square(ad.add_scalar(ad.segment_norms(grad_z, len(e)), -1.0))
-        loss = ad.add(fit, ad.mul_scalar(penalty, w2))
+        loss = ad.add(fit, ad.mul_const(penalty, w2))
     return SurrogateLossParts(loss=loss, e_hat=e_hat, fit=fit, penalty=penalty)
 
 

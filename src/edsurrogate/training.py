@@ -174,7 +174,7 @@ def _gradients(step, indices, rng, cache, params):
     its log columns and each parameter's gradient of the mean, with the
     step's graph gone on return."""
     losses, columns = step(indices, rng, cache)
-    root = ad.mul_scalar(ad.sum_all(losses), 1.0 / losses.shape[1])
+    root = ad.mul_const(ad.sum_all(losses), 1.0 / losses.shape[1])
     grads = ad.backward(root, params.nodes())
     return root.values, losses.values[0].tolist(), columns, [g.values for g in grads]
 

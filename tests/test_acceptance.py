@@ -153,7 +153,7 @@ def test_criterion_2_gradients_match_central_differences():
         def ce_recompute(arrays):
             probe = RecognizerNet(REC_TINY)
             probe.params.load_arrays(arrays)
-            return ad.sum_all(ce_loss(forward(image, probe), target.values, 1)).item()
+            return float(ad.sum_all(ce_loss(forward(image, probe), target.values, 1)).values)
 
         root = ad.sum_all(ce_loss(forward(image, net), target.values, 1))
         grads = dict(
@@ -168,7 +168,7 @@ def test_criterion_2_gradients_match_central_differences():
         def dist_recompute(arrays):
             probe = SurrogateNet(SUR_TINY)
             probe.params.load_arrays(arrays)
-            return ad.sum_all(distance_row(z, embed(y, probe), probe)).item()
+            return float(ad.sum_all(distance_row(z, embed(y, probe), probe)).values)
 
         root = ad.sum_all(distance_row(z, embed(y, snet), snet))
         grads = dict(
@@ -183,7 +183,7 @@ def test_criterion_2_gradients_match_central_differences():
                 probe = SurrogateNet(SUR_TINY)
                 probe.params.load_arrays(arrays)
                 parts = surrogate_loss_parts(z, y, [2], probe, 0.1)
-                return ad.sum_all(getattr(parts, term)).item()
+                return float(ad.sum_all(getattr(parts, term)).values)
 
             parts = surrogate_loss_parts(z, y, [2], snet, 0.1)
             root = ad.sum_all(getattr(parts, term))

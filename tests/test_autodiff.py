@@ -26,7 +26,7 @@ def fd_check(build, x0, abs_tol=1e-7, rel_tol=1e-4, step=1e-5):
     x0 = np.asarray(x0, dtype=np.float64)
     leaf = ad.variable(x0)
     (grad,) = ad.backward(build(leaf), [leaf])
-    numeric = finite_difference_gradient(lambda v: build(ad.variable(v)).item(), x0, step)
+    numeric = finite_difference_gradient(lambda v: float(build(ad.variable(v)).values), x0, step)
     assert_gradients_close(grad.values, numeric, abs_tol, rel_tol)
 
 
@@ -53,6 +53,19 @@ def test_leaky_relu_and_its_mask_equal_the_where_forms_bitwise(slope, values):
     (mask,) = ad.backward(ad.sum_all(out), [shipped])
     (expected_mask,) = ad.backward(ad.sum_all(expected), [oracle])
     assert mask.values.tobytes() == expected_mask.values.tobytes()
+
+
+@pytest.mark.parametrize("factor", [-1.0, -2.5, 0.5, 3.0, 1e-3])
+@given(values=hnp.arrays(np.float64, (3, 4), elements=edge_elements))
+def test_mul_const_by_a_float_is_the_ieee_product_bitwise(factor, values):
+    x = ad.variable(values)
+    out = ad.mul_const(x, factor)
+    assert out.values.tobytes() == (values * factor).tobytes()
+    if factor == -1.0:
+        assert out.values.tobytes() == (-values).tobytes()
+    # The gradient of the sum is factor everywhere, bit for bit.
+    (grad,) = ad.backward(ad.sum_all(out), [x])
+    assert grad.values.tobytes() == np.full(values.shape, factor).tobytes()
 
 
 @pytest.mark.parametrize("slope", [-0.01, 1.5, float("nan")])
@@ -131,12 +144,12 @@ OTHER = ad.constant(RNG.random((3, 4)) + 0.5)
 ELEMENTWISE_CASES = [
     ("add", lambda x: ad.sum_all(ad.add(x, OTHER))),
     ("sub", lambda x: ad.sum_all(ad.sub(x, OTHER))),
-    ("neg", lambda x: ad.sum_all(ad.neg(x))),
+    ("mul_const_-1.0", lambda x: ad.sum_all(ad.mul_const(x, -1.0))),
     ("mul", lambda x: ad.sum_all(ad.mul(x, OTHER))),
     ("div", lambda x: ad.sum_all(ad.div(x, OTHER))),
     ("div_denom", lambda x: ad.sum_all(ad.div(OTHER, x))),
     ("add_scalar", lambda x: ad.sum_all(ad.add_scalar(x, 1.7))),
-    ("mul_scalar", lambda x: ad.sum_all(ad.mul_scalar(x, -2.5))),
+    ("mul_const_-2.5", lambda x: ad.sum_all(ad.mul_const(x, -2.5))),
     ("square", lambda x: ad.sum_all(ad.square(x))),
     ("sqrt", lambda x: ad.sum_all(ad.sqrt(x))),
     ("exp", lambda x: ad.sum_all(ad.exp(x))),
@@ -182,7 +195,7 @@ def test_matmul_transpose_flag_gradients(trans_a, trans_b):
 
     a_leaf, s = s_of(a0)
     (analytic,) = ad.backward(s, [a_leaf])
-    numeric = finite_difference_gradient(lambda v: s_of(v)[1].item(), a0)
+    numeric = finite_difference_gradient(lambda v: float(s_of(v)[1].values), a0)
     assert_gradients_close(analytic.values, numeric, abs_tol=1e-7, rel_tol=1e-4)
 
 
@@ -305,7 +318,7 @@ def test_conv_primitive_second_order_matches_fd(name):
 
     w_leaf, s = s_of(w0)
     (analytic,) = ad.backward(s, [w_leaf])
-    numeric = finite_difference_gradient(lambda v: s_of(v)[1].item(), w0)
+    numeric = finite_difference_gradient(lambda v: float(s_of(v)[1].values), w0)
     assert_gradients_close(analytic.values, numeric, abs_tol=1e-7, rel_tol=1e-4)
 
 
@@ -321,7 +334,7 @@ def test_segmented_conv_equals_one_conv_per_segment():
 def test_segment_norms_equal_l2_norm_of_each_block():
     x = RNG.standard_normal((3, 8))
     norms = ad.segment_norms(ad.constant(x), 2).values
-    expected = [l2_norm_eps(ad.constant(x[:, i : i + 4])).item() for i in (0, 4)]
+    expected = [float(l2_norm_eps(ad.constant(x[:, i : i + 4])).values) for i in (0, 4)]
     assert norms.shape == (1, 2)
     assert np.allclose(norms[0], expected, rtol=1e-14, atol=0)
     fd_check(lambda v: ad.sum_all(ad.segment_norms(v, 2)), x)
@@ -352,7 +365,7 @@ def test_linear_gradient():
 def test_l2_norm_eps_zero_input_is_differentiable():
     x = ad.variable(np.zeros(4))
     norm = l2_norm_eps(x)
-    assert norm.item() == pytest.approx(np.sqrt(ad.EPS_NORM))
+    assert float(norm.values) == pytest.approx(np.sqrt(ad.EPS_NORM))
     (grad,) = ad.backward(norm, [x])
     assert np.all(np.isfinite(grad.values))
 
@@ -367,7 +380,7 @@ def test_weighted_norm_gradient_matches_fd_tightly():
 
     leaf = ad.variable(x0)
     (grad,) = ad.backward(build(leaf), [leaf])
-    numeric = finite_difference_gradient(lambda v: build(ad.variable(v)).item(), x0)
+    numeric = finite_difference_gradient(lambda v: float(build(ad.variable(v)).values), x0)
     assert_gradients_close(grad.values, numeric, abs_tol=1e-9, rel_tol=1e-6)
 
 
@@ -380,7 +393,7 @@ def test_weighted_norm_gradient_matches_fd_tightly():
     )
 )
 def test_polynomial_gradient_property(x0):
-    fd_check(lambda x: ad.sum_all(ad.add(ad.square(x), ad.mul_scalar(x, 3.0))), x0)
+    fd_check(lambda x: ad.sum_all(ad.add(ad.square(x), ad.mul_const(x, 3.0))), x0)
 
 
 # --- backward semantics -----------------------------------------------------
@@ -389,9 +402,9 @@ def test_square_first_and_second_derivative():
     x = ad.variable(3.0)
     y = ad.square(x)
     (first,) = ad.backward(y, [x], create_graph=True)
-    assert first.item() == pytest.approx(6.0)
+    assert float(first.values) == pytest.approx(6.0)
     (second,) = ad.backward(first, [x])
-    assert second.item() == pytest.approx(2.0)
+    assert float(second.values) == pytest.approx(2.0)
 
 
 def test_unreachable_wrt_gets_exact_zero():
@@ -412,11 +425,18 @@ def test_backward_rejects_nonscalar_root_and_constant_wrt():
         ad.backward(ad.sum_all(ad.square(x)), [c])
 
 
+def test_backward_rejects_a_non_leaf_wrt():
+    x = ad.variable([1.0, 2.0])
+    doubled = ad.add(x, x)
+    with pytest.raises(ValueError, match="requires_grad"):
+        ad.backward(ad.sum_all(ad.square(doubled)), [doubled])
+
+
 def test_gradient_accumulation_is_linear():
     x0 = RNG.random((2, 3))
     x = ad.variable(x0)
     f = ad.sum_all(ad.square(x))
-    g = ad.sum_all(ad.mul_scalar(x, 4.0))
+    g = ad.sum_all(ad.mul_const(x, 4.0))
     (grad_sum,) = ad.backward(ad.add(f, g), [x])
     (grad_f,) = ad.backward(f, [x])
     (grad_g,) = ad.backward(g, [x])
@@ -425,7 +445,7 @@ def test_gradient_accumulation_is_linear():
 
 def test_backward_without_create_graph_returns_bare_leaves():
     x = ad.variable(RNG.random((2, 3)))
-    root = ad.sum_all(ad.square(ad.leaky_relu(x)))
+    root = ad.sum_all(ad.square(ad.leaky_relu(x, 0.01)))
     (graphed,) = ad.backward(root, [x], create_graph=True)
     (bare,) = ad.backward(root, [x])
     assert graphed.parents
@@ -450,14 +470,14 @@ def test_failed_freeing_sweep_restores_graph_recording():
     (first,) = ad.backward(ad.square(y), [y], create_graph=True)
     assert first.parents
     (second,) = ad.backward(first, [y])
-    assert second.item() == pytest.approx(2.0)
+    assert float(second.values) == pytest.approx(2.0)
 
 
 def test_fan_out_accumulates_both_paths():
     x = ad.variable(2.0)
-    y = ad.add(ad.square(x), ad.mul_scalar(x, 3.0))  # x^2 + 3x
+    y = ad.add(ad.square(x), ad.mul_const(x, 3.0))  # x^2 + 3x
     (grad,) = ad.backward(y, [x])
-    assert grad.item() == pytest.approx(7.0)
+    assert float(grad.values) == pytest.approx(7.0)
 
 
 def test_replay_is_bitwise_deterministic():
@@ -493,7 +513,7 @@ def test_grad_norm_second_order_matches_fd():
 
     w_leaf, s = s_of(w0)
     (analytic,) = ad.backward(s, [w_leaf])
-    numeric = finite_difference_gradient(lambda v: s_of(v)[1].item(), w0)
+    numeric = finite_difference_gradient(lambda v: float(s_of(v)[1].values), w0)
     assert_gradients_close(analytic.values, numeric, abs_tol=1e-7, rel_tol=1e-3)
 
 
@@ -510,5 +530,5 @@ def test_second_backward_flows_through_conv():
 
     w_leaf, s = s_of(w0)
     (analytic,) = ad.backward(s, [w_leaf])
-    numeric = finite_difference_gradient(lambda v: s_of(v)[1].item(), w0)
+    numeric = finite_difference_gradient(lambda v: float(s_of(v)[1].values), w0)
     assert_gradients_close(analytic.values, numeric, abs_tol=1e-7, rel_tol=1e-3)

@@ -44,7 +44,7 @@ def assert_close(batch, singles):
 
 
 def batch_mean_grads(row, params):
-    root = ad.mul_scalar(ad.sum_all(row), 1.0 / row.shape[1])
+    root = ad.mul_const(ad.sum_all(row), 1.0 / row.shape[1])
     return [g.values for g in ad.backward(root, params.nodes())]
 
 

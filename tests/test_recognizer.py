@@ -146,7 +146,7 @@ def test_ce_gradient_wrt_weights_matches_fd():
             bumped[name].flat[flat] += delta
             other = RecognizerNet(TINY)
             other.params.load_arrays(bumped)
-            return ad.sum_all(ce_loss(forward(image, other), target.values, 1)).item()
+            return float(ad.sum_all(ce_loss(forward(image, other), target.values, 1)).values)
 
         numeric = (value_at(step) - value_at(-step)) / (2 * step)
         analytic = grads[name].values.flat[flat]

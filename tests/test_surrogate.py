@@ -83,7 +83,7 @@ def test_embed_gradient_wrt_grid_matches_fd():
     leaf = ad.variable(x0)
     (grad,) = ad.backward(ad.sum_all(embed(leaf, net)), [leaf])
     numeric = finite_difference_gradient(
-        lambda v: ad.sum_all(embed(ad.variable(v), net)).item(), x0
+        lambda v: float(ad.sum_all(embed(ad.variable(v), net)).values), x0
     )
     assert_gradients_close(grad.values, numeric)
 
@@ -174,9 +174,9 @@ def test_loss_gradient_wrt_weights_matches_fd(weights, term, rel):
     for name, flat in picks:
         bumped = {k: v.copy() for k, v in arrays.items()}
         bumped[name].flat[flat] += step
-        up = _loss_with_arrays(bumped, z, y, e, weights, term).item()
+        up = float(_loss_with_arrays(bumped, z, y, e, weights, term).values)
         bumped[name].flat[flat] -= 2 * step
-        down = _loss_with_arrays(bumped, z, y, e, weights, term).item()
+        down = float(_loss_with_arrays(bumped, z, y, e, weights, term).values)
         numeric = (up - down) / (2 * step)
         analytic = by_name[name].values.flat[flat]
         bound = max(1e-7, rel * abs(numeric))
