@@ -4,9 +4,11 @@ path that `tune`, the scripts and the acceptance tests share.
 
 Configuration comes from an optional JSON file with "dataset", "train",
 "recognizer" and "surrogate" sections layered over the desk presets; flags win
-over file values. A single effective seed feeds every stream of randomness, so
-rerunning a command with the same arguments reproduces its output files byte
-for byte.
+over file values. Seeds layer the same way: the "dataset" or "train" section's
+own seed overrides the file's top-level seed, and --seed overrides both; the
+nets take the train seed unless their own section sets one. Every stream of
+randomness draws from these seeds, so rerunning a command with the same
+arguments reproduces its output files byte for byte.
 """
 
 from __future__ import annotations

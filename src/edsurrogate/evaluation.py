@@ -12,7 +12,7 @@ from pathlib import Path
 from .blas import one_blas_thread
 from .errors import ConfigError
 from .recognizer import RecognizerNet, WordImage, forward
-from .text_metrics import Alphabet, MetricsReport, decode_greedy, evaluate_set
+from .text_metrics import MetricsReport, decode_greedy, evaluate_set
 from .training import PHASE_PRETRAIN, PHASE_RECOGNIZER, PHASE_SURROGATE, PhaseLogRecord
 
 LOG_HEADER = "epoch,phase,iteration,sample_index,e,e_hat,loss,gate_open"
@@ -26,7 +26,7 @@ EVAL_CHUNK = 32
 
 @one_blas_thread()
 def evaluate_model(
-    net: RecognizerNet, images: list[WordImage], alphabet: Alphabet, dataset_id: str = ""
+    net: RecognizerNet, images: list[WordImage], alphabet: str, dataset_id: str = ""
 ) -> MetricsReport:
     """Greedy-decode every image and score against its label."""
     if net.config.alphabet_size != len(alphabet):

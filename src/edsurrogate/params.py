@@ -115,7 +115,6 @@ class CheckpointHeader:
     alphabet_size: int
     capacity: int
     embedding_dim: int
-    version: int = FORMAT_VERSION
 
 
 def _write_u32(fh, value: int) -> None:
@@ -206,7 +205,7 @@ def save_checkpoint(path, header: CheckpointHeader, arrays: dict[str, np.ndarray
     try:
         with open(partial, "wb") as fh:
             fh.write(MAGIC)
-            _write_u32(fh, header.version)
+            _write_u32(fh, FORMAT_VERSION)
             _write_u32(fh, header.alphabet_size)
             _write_u32(fh, header.capacity)
             _write_u32(fh, header.embedding_dim)
@@ -239,7 +238,6 @@ def load_checkpoint(path) -> tuple[CheckpointHeader, dict[str, np.ndarray]]:
             alphabet_size=_read_u32(fh, end),
             capacity=_read_u32(fh, end),
             embedding_dim=_read_u32(fh, end),
-            version=version,
         )
         arrays: dict[str, np.ndarray] = {}
         while fh.tell() < end:

@@ -9,20 +9,20 @@ pure function of (config, seed): sample index i draws from rng([seed, i]).
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, check_config, reject_unknown_keys
+from .errors import check_config, reject_unknown_keys
 from .params import SEED_ROW
 from .recognizer import WordImage
-from .text_metrics import Alphabet, edit_distance, label_rows
+from .text_metrics import edit_distance, label_rows
 
 LABELS_FILE = "labels.tsv"
 META_FILE = "dataset.json"
-_GLYPH_TABLES: dict[tuple, np.ndarray] = {}  # _glyph_table's cache, at most 8 entries
 # Images per block: 32 desk images are 96 KB, below glibc's 128 KB mmap threshold. A
 # larger block is mmapped, and freeing it raises that threshold for the rest of the process.
 _BLOCK_IMAGES = 32
@@ -30,6 +30,9 @@ _BLOCK_IMAGES = 32
 # line boundary of str.splitlines
 SEPARATORS = ",\t\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029"
 _ROWS = (
+    ("alphabet", lambda v, c: len(v) >= 2, "hold at least 2 symbols"),
+    ("alphabet", lambda v, c: len(set(v)) == len(v), "hold each symbol once"),
+    ("alphabet", lambda v, c: set(v).isdisjoint(SEPARATORS), "hold no ',', tab or line boundary"),
     SEED_ROW,
     *((key, lambda v, c: v >= 1, "be >= 1")
       for key in ("capacity", "image_height", "corpus_size", "glyph_width")),
@@ -44,7 +47,7 @@ _ROWS = (
 
 @dataclass(frozen=True)
 class DatasetConfig:
-    alphabet: Alphabet
+    alphabet: str  # distinct symbols, the pad first
     capacity: int = 8
     image_height: int = 12
     image_width: int = 32
@@ -57,9 +60,6 @@ class DatasetConfig:
 
     def __post_init__(self):
         check_config("dataset", self, _ROWS)
-        symbols = "".join(self.alphabet.symbols)
-        if any(ch in SEPARATORS for ch in symbols):
-            raise ConfigError(f"dataset key 'alphabet' holds ',', tab or a newline: {symbols!r}")
 
     @property
     def cell_width(self) -> int:
@@ -67,22 +67,10 @@ class DatasetConfig:
 
     @classmethod
     def desk(cls, /, **overrides) -> "DatasetConfig":
-        """The desk preset; overrides are from_dict's keys, the alphabet a string."""
-        return cls.from_dict({"alphabet": "_abcdefgh", **overrides})
-
-    def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["alphabet"] = "".join(self.alphabet.symbols)
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DatasetConfig":
-        data = dict(data)
-        reject_unknown_keys("dataset", data, [f.name for f in fields(cls)])
-        symbols = data.pop("alphabet")
-        if not isinstance(symbols, str):
-            raise ConfigError(f"dataset key 'alphabet' must be a string, got {symbols!r}")
-        return cls(alphabet=Alphabet.from_string(symbols), **data)
+        """The desk preset: alphabet "_abcdefgh" and the field defaults, each
+        replaced by the override of the same name."""
+        reject_unknown_keys("dataset", overrides, [f.name for f in fields(cls)])
+        return cls(**{"alphabet": "_abcdefgh", **overrides})
 
 
 @dataclass(frozen=True)
@@ -107,20 +95,17 @@ def glyph_bitmap(char_index: int, cfg: DatasetConfig) -> np.ndarray:
     return (rng.random((cfg.image_height, cfg.glyph_width)) < 0.5).astype(np.float64)
 
 
+@functools.lru_cache(maxsize=8)
 def _glyph_table(cfg: DatasetConfig) -> np.ndarray:
-    """Read-only stack of every symbol's glyph_bitmap, drawn once per glyph-defining config."""
-    key = (cfg.glyph_seed, cfg.image_height, cfg.glyph_width, len(cfg.alphabet))
-    if key not in _GLYPH_TABLES:
-        if len(_GLYPH_TABLES) == 8:
-            _GLYPH_TABLES.clear()
-        table = _GLYPH_TABLES[key] = np.stack([glyph_bitmap(i, cfg) for i in range(key[3])])
-        table.setflags(write=False)
-    return _GLYPH_TABLES[key]
+    """Read-only stack of every symbol's glyph_bitmap, drawn once per config."""
+    table = np.stack([glyph_bitmap(i, cfg) for i in range(len(cfg.alphabet))])
+    table.setflags(write=False)
+    return table
 
 
 def sample_word(cfg: DatasetConfig, rng) -> str:
     length = int(rng.integers(1, cfg.capacity + 1))
-    letters = cfg.alphabet.symbols[1:]
+    letters = cfg.alphabet[1:]
     return "".join([letters[k] for k in rng.integers(len(letters), size=length).tolist()])
 
 
@@ -170,7 +155,7 @@ def mutate_word(word: str, k: int, cfg: DatasetConfig, rng) -> str:
     different character, so the resulting edit distance stays close to k and
     every distance bucket up to capacity/2 remains well populated.
     """
-    letters = cfg.alphabet.symbols[1:]
+    letters = cfg.alphabet[1:]
     chars = list(word)
     touched: set[int] = set()
     for _ in range(k):
@@ -223,5 +208,5 @@ def save_dataset(directory, images: list[WordImage], cfg: DatasetConfig) -> None
         lines.append(f"{index}\t{filename}\t{image.label}")
     (directory / LABELS_FILE).write_text("\n".join(lines) + "\n", encoding="utf-8")
     (directory / META_FILE).write_text(
-        json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

@@ -2,7 +2,8 @@
 
 Everything here is the ground truth the learned components are measured
 against: bit-parallel Levenshtein distance, one-hot grid encoding/decoding,
-and the Acc/NED/TED evaluation report.
+and the Acc/NED/TED evaluation report. An alphabet is a string of distinct
+symbols whose first symbol, row 0 of every grid, is the pad.
 """
 
 from __future__ import annotations
@@ -14,44 +15,6 @@ import numpy as np
 from .errors import CapacityError, EncodingError, ShapeError
 
 COLUMN_SUM_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class Alphabet:
-    """Ordered character set with a reserved padding symbol at row 0."""
-
-    symbols: tuple[str, ...]
-    pad_index = 0  # a class constant, not a field: glyphs and grids assume row 0
-
-    def __post_init__(self):
-        if len(self.symbols) < 2:
-            raise EncodingError("alphabet needs at least 2 symbols")
-        if len(set(self.symbols)) != len(self.symbols):
-            raise EncodingError("alphabet symbols must be unique")
-        object.__setattr__(
-            self, "_index", {c: i for i, c in enumerate(self.symbols)}
-        )
-
-    @classmethod
-    def from_string(cls, symbols: str) -> "Alphabet":
-        return cls(tuple(symbols))
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    def index_of(self, char: str) -> int:
-        try:
-            return self._index[char]
-        except KeyError:
-            raise EncodingError(f"character {char!r} not in alphabet") from None
-
-    def validate_word(self, word: str) -> None:
-        """Raise EncodingError unless every character is a non-pad member."""
-        for ch in word:
-            if ch not in self._index:
-                raise EncodingError(f"character {ch!r} not in alphabet")
-            if self._index[ch] == self.pad_index:
-                raise EncodingError("padding symbol not allowed inside a word")
 
 
 def _checked(values, count: int = 1) -> np.ndarray:
@@ -74,18 +37,23 @@ def is_one_hot(values: np.ndarray) -> bool:
     return bool(np.all(ones | (values == 0.0)) and np.all(ones.sum(axis=0) == 1))
 
 
-def label_rows(words: list[str], alphabet: Alphabet, capacity: int) -> np.ndarray:
-    """(B, L) alphabet rows of the words' characters, each right-padded with the pad row."""
-    rows = np.full((len(words), capacity), alphabet.pad_index, dtype=np.intp)
+def label_rows(words: list[str], alphabet: str, capacity: int) -> np.ndarray:
+    """(B, L) alphabet rows of the words' characters, each right-padded with the pad row 0."""
+    index = {symbol: row for row, symbol in enumerate(alphabet)}
+    rows = np.zeros((len(words), capacity), dtype=np.intp)
     for k, word in enumerate(words):
         if len(word) > capacity:
             raise CapacityError(f"word of length {len(word)} exceeds capacity {capacity}")
-        alphabet.validate_word(word)
-        rows[k, : len(word)] = [alphabet.index_of(ch) for ch in word]
+        if alphabet[0] in word:
+            raise EncodingError("padding symbol not allowed inside a word")
+        try:
+            rows[k, : len(word)] = [index[ch] for ch in word]
+        except KeyError as exc:
+            raise EncodingError(f"character {exc.args[0]!r} not in alphabet") from None
     return rows
 
 
-def encode_batch(words: list[str], alphabet: Alphabet, capacity: int) -> np.ndarray:
+def encode_batch(words: list[str], alphabet: str, capacity: int) -> np.ndarray:
     """The words' one-hot grids side by side, each right-padded with pad-hot columns."""
     rows = label_rows(words, alphabet, capacity)
     values = np.zeros((len(alphabet), rows.size), dtype=np.float64)
@@ -93,13 +61,13 @@ def encode_batch(words: list[str], alphabet: Alphabet, capacity: int) -> np.ndar
     return values
 
 
-def decode_greedy(values, count: int, alphabet: Alphabet) -> list[str]:
+def decode_greedy(values, count: int, alphabet: str) -> list[str]:
     """Words of count side-by-side grids: per-column argmax (ties -> lowest row), pad dropped."""
     values = _checked(values, count)
     if values.shape[0] != len(alphabet):
         raise ShapeError("grid row count does not match alphabet size")
     grids = np.argmax(values, axis=0).reshape(count, -1).tolist()
-    return ["".join(alphabet.symbols[r] for r in g if r != alphabet.pad_index) for g in grids]
+    return ["".join(alphabet[r] for r in g if r) for g in grids]
 
 
 def edit_distance(a: str, b: str) -> int:

@@ -30,13 +30,13 @@ from pathlib import Path
 import numpy as np
 
 from edsurrogate import autodiff as ad
-from edsurrogate.errors import CapacityError, ConfigError, ShapeError
+from edsurrogate.errors import CapacityError, ConfigError, EncodingError, ShapeError
 from edsurrogate.evaluation import SCATTER_HEADER
 from edsurrogate.params import CheckpointHeader, ParamStore, save_checkpoint
 from edsurrogate.recognizer import RecognizerConfig, WordImage
 from edsurrogate.surrogate import distance_row
 from edsurrogate.synth_data import LABELS_FILE, META_FILE, DatasetConfig, glyph_bitmap
-from edsurrogate.text_metrics import Alphabet, _checked, encode_batch
+from edsurrogate.text_metrics import _checked, encode_batch
 from edsurrogate.training import FilteredLossParts, filtered_str_loss_parts
 
 
@@ -135,7 +135,7 @@ def per_grid_decode(values, count: int, alphabet, tol: float = 1e-6) -> list[str
         if grid.shape[0] != len(alphabet):
             raise ShapeError("grid row count does not match alphabet size")
         rows = [max(range(len(column)), key=column.__getitem__) for column in grid.T.tolist()]
-        words.append("".join(alphabet.symbols[r] for r in rows if r != alphabet.pad_index))
+        words.append("".join(alphabet[r] for r in rows if r != 0))
     return words
 
 
@@ -150,14 +150,14 @@ def per_column_one_hot(word: str, alphabet, capacity: int) -> np.ndarray:
     of word, then the pad row up to capacity."""
     values = np.zeros((len(alphabet), capacity))
     for col in range(capacity):
-        row = alphabet.symbols.index(word[col]) if col < len(word) else alphabet.pad_index
+        row = alphabet.index(word[col]) if col < len(word) else 0
         values[row, col] = 1.0
     return values
 
 
-def default_alphabet() -> Alphabet:
+def default_alphabet() -> str:
     """Pad + 26 lowercase letters + 10 digits (37 symbols)."""
-    return Alphabet.from_string("_abcdefghijklmnopqrstuvwxyz0123456789")
+    return "_abcdefghijklmnopqrstuvwxyz0123456789"
 
 
 @dataclass(frozen=True)
@@ -276,21 +276,22 @@ def broadcast_softmax_columns(a):
 def sample_word(cfg: DatasetConfig, rng) -> str:
     """synth_data.sample_word with one rng.integers call per letter."""
     length = int(rng.integers(1, cfg.capacity + 1))
-    letters = cfg.alphabet.symbols[1:]
+    letters = cfg.alphabet[1:]
     return "".join(letters[rng.integers(len(letters))] for _ in range(length))
 
 
 def render_word(word: str, cfg: DatasetConfig, rng) -> WordImage:
     """One image on its own zero canvas: each character's glyph_bitmap in its
     shifted cell, then the noise drawn after the shift, then the clip."""
-    cfg.alphabet.validate_word(word)
+    if not set(word) <= set(cfg.alphabet[1:]):
+        raise EncodingError(f"word {word!r} holds a symbol that is no letter of the alphabet")
     if len(word) > cfg.capacity:
         raise CapacityError(f"word {word!r} exceeds capacity {cfg.capacity}")
     canvas = np.zeros((cfg.image_height, cfg.image_width))
     shift = int(rng.integers(0, cfg.shift_range + 1)) if cfg.shift_range else 0
     for slot, char in enumerate(word):
         col = slot * cfg.cell_width + shift
-        canvas[:, col : col + cfg.glyph_width] = glyph_bitmap(cfg.alphabet.index_of(char), cfg)
+        canvas[:, col : col + cfg.glyph_width] = glyph_bitmap(cfg.alphabet.index(char), cfg)
     if cfg.noise_std > 0:
         canvas = canvas + rng.normal(0.0, cfg.noise_std, canvas.shape)
     return WordImage(np.clip(canvas, 0.0, 1.0), word)
@@ -335,9 +336,7 @@ def parse_pgm(blob: bytes) -> np.ndarray:
 def load_dataset(directory) -> tuple[list[WordImage], DatasetConfig]:
     """The images and config that synth_data.save_dataset wrote to directory."""
     directory = Path(directory)
-    cfg = DatasetConfig.from_dict(
-        json.loads((directory / META_FILE).read_text(encoding="utf-8"))
-    )
+    cfg = DatasetConfig(**json.loads((directory / META_FILE).read_text(encoding="utf-8")))
     images = []
     rows = (directory / LABELS_FILE).read_text(encoding="utf-8").splitlines()
     for row in rows[1:]:

@@ -37,11 +37,7 @@ from edsurrogate.surrogate import (
     surrogate_loss_parts,
 )
 from edsurrogate.synth_data import DatasetConfig, sample_corpus, split_corpus
-from edsurrogate.text_metrics import (
-    Alphabet,
-    decode_greedy,
-    edit_distance,
-)
+from edsurrogate.text_metrics import decode_greedy, edit_distance
 from edsurrogate.training import (
     OptimizerState,
     TrainConfig,
@@ -92,7 +88,7 @@ def test_criterion_1_edit_distance_matches_exhaustive_recursion():
 
 # ---------------------------------------------------------------- criterion 2
 
-ALPHABET3 = Alphabet.from_string("_ab")
+ALPHABET3 = "_ab"
 SUR_TINY = SurrogateConfig(
     alphabet_size=3,
     capacity=4,

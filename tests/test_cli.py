@@ -365,6 +365,13 @@ def test_train_value_out_of_range_is_one_error_line_naming_key_and_value(
         ("dataset", "capacity", 0, "dataset key 'capacity' must be >= 1, got 0"),
         ("dataset", "image_height", 0, "dataset key 'image_height' must be >= 1, got 0"),
         ("dataset", "glyph_seed", -1, "dataset key 'glyph_seed' must be >= 0, got -1"),
+        (
+            "dataset",
+            "alphabet",
+            "_aa",
+            "dataset key 'alphabet' must hold each symbol once, got '_aa'",
+        ),
+        ("dataset", "alphabet", "_", "dataset key 'alphabet' must hold at least 2 symbols, got '_'"),
         ("surrogate", "hidden", 0, "surrogate key 'hidden' must be >= 1, got 0"),
         ("surrogate", "seed", -1, "surrogate key 'seed' must lie in [0, 2**53], got -1"),
         (
@@ -379,6 +386,8 @@ def test_train_value_out_of_range_is_one_error_line_naming_key_and_value(
         "dataset-capacity",
         "dataset-image_height",
         "dataset-glyph_seed",
+        "dataset-alphabet-repeat",
+        "dataset-alphabet-single",
         "surrogate-hidden",
         "surrogate-seed",
         "recognizer-kernel",

@@ -21,7 +21,7 @@ from edsurrogate.recognizer import (
     save_recognizer,
 )
 from edsurrogate.synth_data import DatasetConfig, sample_corpus
-from edsurrogate.text_metrics import Alphabet, MetricsReport
+from edsurrogate.text_metrics import MetricsReport
 from edsurrogate.training import PhaseLogRecord
 
 from .oracles import read_scatter_csv, recursive_edit_distance
@@ -73,9 +73,7 @@ def test_evaluate_model_scores_a_reloaded_checkpoint_alike(tmp_path):
 
 def test_evaluate_model_rejects_alphabet_mismatch():
     with pytest.raises(ConfigError):
-        evaluate_model(
-            RecognizerNet(RCFG), sample_corpus(DCFG), Alphabet.from_string("_ab")
-        )
+        evaluate_model(RecognizerNet(RCFG), sample_corpus(DCFG), "_ab")
 
 
 def test_report_ted_matches_recursive_oracle():

@@ -10,7 +10,7 @@ from edsurrogate.recognizer import (
     ce_loss,
     forward,
 )
-from edsurrogate.text_metrics import Alphabet, decode_greedy
+from edsurrogate.text_metrics import decode_greedy
 
 from .oracles import CharGrid, encode_one_hot, split_grids
 
@@ -22,7 +22,7 @@ TINY = RecognizerConfig(
     channels=(6, 6),
     seed=3,
 )
-ALPHABET = Alphabet.from_string("_ab")
+ALPHABET = "_ab"
 
 
 def random_image(seed=0, config=TINY) -> WordImage:

@@ -12,7 +12,6 @@ from edsurrogate.surrogate import (
     embed,
     surrogate_loss_parts,
 )
-from edsurrogate.text_metrics import Alphabet
 
 from .oracles import (
     CharGrid,
@@ -31,7 +30,7 @@ TINY = SurrogateConfig(
     hidden=6,
     seed=11,
 )
-ALPHABET = Alphabet.from_string("_ab")
+ALPHABET = "_ab"
 
 
 def random_grid(rng, alphabet_size=3, capacity=4) -> CharGrid:

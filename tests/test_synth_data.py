@@ -1,5 +1,5 @@
 import tempfile
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ from edsurrogate.synth_data import (
     save_dataset,
     split_corpus,
 )
-from edsurrogate.text_metrics import Alphabet, edit_distance, evaluate_set
+from edsurrogate.text_metrics import edit_distance, evaluate_set
 from edsurrogate.training import (
     GENERATED_SAMPLE_INDEX,
     PHASE_PRETRAIN,
@@ -55,7 +55,7 @@ def test_config_validation():
 
 
 def test_config_dict_round_trip():
-    assert DatasetConfig.from_dict(CFG.to_dict()) == CFG
+    assert DatasetConfig(**asdict(CFG)) == CFG
 
 
 def test_render_deterministic(monkeypatch):
@@ -71,9 +71,7 @@ def test_render_without_noise_is_pure_glyph_composition():
         expected = np.zeros((cfg.image_height, cfg.image_width))
         for slot, char in enumerate(image.label):
             col = slot * cfg.cell_width
-            expected[:, col : col + cfg.glyph_width] = glyph_bitmap(
-                cfg.alphabet.index_of(char), cfg
-            )
+            expected[:, col : col + cfg.glyph_width] = glyph_bitmap(cfg.alphabet.index(char), cfg)
         assert np.array_equal(image.pixels, expected)
 
 
@@ -109,7 +107,7 @@ def dataset_configs(draw) -> DatasetConfig:
         )
     )
     return DatasetConfig(
-        alphabet=Alphabet(tuple(symbols)),
+        alphabet="".join(symbols),
         capacity=capacity,
         image_height=draw(st.integers(1, 5)),
         image_width=capacity * (glyph_width + slack),
@@ -254,7 +252,7 @@ def test_character_frequency_roughly_uniform():
     rng_labels = [
         sample_word(CFG, np.random.default_rng([0, i])) for i in range(10_000)
     ]
-    counts = {c: 0 for c in CFG.alphabet.symbols[1:]}
+    counts = {c: 0 for c in CFG.alphabet[1:]}
     total = 0
     for word in rng_labels:
         for char in word:

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edsurrogate.errors import CapacityError, EncodingError, ShapeError
+from edsurrogate.errors import CapacityError, ConfigError, EncodingError, ShapeError
+from edsurrogate.synth_data import DatasetConfig
 from edsurrogate.text_metrics import (
-    Alphabet,
     decode_greedy,
     edit_distance,
     encode_batch,
@@ -25,7 +25,7 @@ from .oracles import (
     unmemoized_edit_distance,
 )
 
-ABC = Alphabet.from_string("_abc")
+ABC = "_abc"
 
 words = st.text(alphabet="ab", max_size=5)
 
@@ -33,21 +33,14 @@ words = st.text(alphabet="ab", max_size=5)
 def test_default_alphabet_has_37_symbols():
     alphabet = default_alphabet()
     assert len(alphabet) == 37
-    assert alphabet.pad_index == 0
-    assert alphabet.symbols[alphabet.pad_index] == "_"
+    assert alphabet[0] == "_"
 
 
 def test_alphabet_rejects_duplicates_and_tiny_sets():
-    with pytest.raises(EncodingError):
-        Alphabet.from_string("aa")
-    with pytest.raises(EncodingError):
-        Alphabet.from_string("a")
-
-
-def test_alphabet_index_roundtrip():
-    alphabet = default_alphabet()
-    for i, ch in enumerate(alphabet.symbols):
-        assert alphabet.index_of(ch) == i
+    with pytest.raises(ConfigError, match="'alphabet' must hold each symbol once, got 'aa'"):
+        DatasetConfig.desk(alphabet="aa")
+    with pytest.raises(ConfigError, match="'alphabet' must hold at least 2 symbols, got 'a'"):
+        DatasetConfig.desk(alphabet="a")
 
 
 def test_encode_ab_layout():
@@ -116,7 +109,7 @@ def grid_batches(draw):
             weights[0] = 1
         columns.append(np.asarray(weights, dtype=np.float64) / sum(weights))
     values = np.stack(columns, axis=1) if columns else np.zeros((size, 0))
-    alphabet = Alphabet.from_string("_abcdefgh"[:size])
+    alphabet = "_abcdefgh"[:size]
     fault = draw(st.sampled_from(FAULTS if values.size else (None, "row count")))
     if fault == "non-finite":
         values[draw(st.integers(0, size - 1)), draw(st.integers(0, values.shape[1] - 1))] = (
@@ -126,7 +119,7 @@ def grid_batches(draw):
         values[:, draw(st.integers(0, values.shape[1] - 1))] *= draw(st.sampled_from([0.5, 1.01]))
     elif fault == "row count":
         other = draw(st.sampled_from([size + 1] + [size - 1] * (size > 2)))
-        alphabet = Alphabet.from_string("_abcdefgh"[:other])
+        alphabet = "_abcdefgh"[:other]
     elif fault == "count":
         count = draw(st.sampled_from([0, -1, values.shape[1] + 1]))
     return values, count, alphabet, fault
