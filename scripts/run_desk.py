@@ -21,9 +21,9 @@ from edsurrogate.evaluation import (
     relative_ted_improvement,
     write_metrics_csv,
 )
-from edsurrogate.recognizer import load_recognizer, save_recognizer
-from edsurrogate.synth_data import DatasetConfig, sample_corpus, split_corpus
-from edsurrogate.training import TrainConfig, build_recognizer, pretrain_recognizer
+from edsurrogate.recognizer import RecognizerNet, load_recognizer, save_recognizer
+from edsurrogate.synth_data import sample_corpus, split_corpus
+from edsurrogate.training import RunSpec, pretrain_recognizer
 
 
 def main(argv=None) -> int:
@@ -33,19 +33,19 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="runs/desk")
     args = parser.parse_args(argv)
 
-    dcfg = DatasetConfig.desk(seed=args.seed)
+    spec = RunSpec.desk(args.seed, epochs=args.epochs)
+    dcfg, cfg = spec.dataset, spec.train
     split = split_corpus(sample_corpus(dcfg))
-    cfg = TrainConfig.desk(seed=args.seed, epochs=args.epochs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    recognizer = build_recognizer(dcfg, args.seed)
+    recognizer = RecognizerNet(spec.recognizer)
     pretrain_recognizer(split.train, recognizer, cfg, dcfg)
     save_recognizer(out / "baseline.bin", recognizer)
     runs = {}
     for mode in ("feds", "lsed"):
-        net = load_recognizer(out / "baseline.bin")
-        runs[mode] = run_experiment(replace(cfg, mode=mode), dcfg, split, net, out_dir=out / mode)
+        arm = replace(spec, train=replace(cfg, mode=mode))
+        runs[mode] = run_experiment(arm, split, load_recognizer(out / "baseline.bin"), out / mode)
 
     base = runs["feds"].baseline
     print(format_summary(base))

@@ -14,8 +14,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from edsurrogate.cli import run_experiment
 from edsurrogate.evaluation import in_band_fraction, relative_ted_improvement
-from edsurrogate.synth_data import DatasetConfig, sample_corpus, split_corpus
-from edsurrogate.training import TrainConfig
+from edsurrogate.synth_data import sample_corpus, split_corpus
+from edsurrogate.training import RunSpec
 
 
 def main(argv=None) -> int:
@@ -29,9 +29,9 @@ def main(argv=None) -> int:
     improvements = []
     for seed in range(args.seeds):
         t0 = time.perf_counter()
-        dcfg = DatasetConfig.desk(seed=seed)
-        cfg = TrainConfig.desk(seed=seed)
-        run = run_experiment(cfg, dcfg, split_corpus(sample_corpus(dcfg)))
+        spec = RunSpec.desk(seed)
+        cfg = spec.train
+        run = run_experiment(spec, split_corpus(sample_corpus(spec.dataset)))
         base, tuned = run.baseline, run.tuned
         rel = relative_ted_improvement(base.ted, tuned.ted)
         improvements.append(rel)

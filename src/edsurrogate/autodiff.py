@@ -473,8 +473,8 @@ def segment_norms(a, segments):
 def _topo_order(root, wanted):
     """One DFS from root, deterministic in graph structure. A node is active
     when it is in `wanted` or has an active parent, decided as it is emitted
-    in post-order, after its parents. Returns the active ids and the active
-    nodes that have parents, parents first."""
+    in post-order, after its parents. Returns the active nodes and the active
+    nodes that have parents, parents first. Nodes hash by identity."""
     order = []
     active = set()
     visited = set()
@@ -482,17 +482,17 @@ def _topo_order(root, wanted):
     while stack:
         node, expanded = stack.pop()
         if expanded:
-            if id(node) in wanted or any(id(p) in active for p in node.parents):
-                active.add(id(node))
+            if node in wanted or not active.isdisjoint(node.parents):
+                active.add(node)
                 if node.parents:
                     order.append(node)
             continue
-        if id(node) in visited:
+        if node in visited:
             continue
-        visited.add(id(node))
+        visited.add(node)
         stack.append((node, True))
         for parent in reversed(node.parents):
-            if id(parent) not in visited:
+            if parent not in visited:
                 stack.append((parent, False))
     return active, order
 
@@ -513,27 +513,22 @@ def backward(root, wrt, create_graph=False):
         if not node.requires_grad:
             raise ValueError("every wrt node must have requires_grad set")
 
-    wanted = {id(node) for node in wrt}
+    wanted = set(wrt)
     active, order = _topo_order(root, wanted)
-    adjoints = {id(root): DiffNode(np.float64(1.0))}
+    adjoints = {root: DiffNode(np.float64(1.0))}
     previous, _recording = _recording, create_graph
     try:
         for node in reversed(order):
-            nid = id(node)
-            grad = adjoints.get(nid) if nid in wanted else adjoints.pop(nid, None)
+            grad = adjoints.get(node) if node in wanted else adjoints.pop(node, None)
             if grad is None:
                 continue
-            needed = tuple(id(p) in active for p in node.parents)
+            needed = tuple(p in active for p in node.parents)
             contributions = node.vjp(node, grad, needed)
             for parent, contribution in zip(node.parents, contributions):
-                if contribution is None or id(parent) not in active:
+                if contribution is None or parent not in active:
                     continue
-                pid = id(parent)
-                seen = adjoints.get(pid)
-                adjoints[pid] = contribution if seen is None else add(seen, contribution)
+                seen = adjoints.get(parent)
+                adjoints[parent] = contribution if seen is None else add(seen, contribution)
     finally:
         _recording = previous
-    return [
-        adjoints[id(node)] if id(node) in adjoints else DiffNode(np.zeros(node.shape))
-        for node in wrt
-    ]
+    return [adjoints[node] if node in adjoints else DiffNode(np.zeros(node.shape)) for node in wrt]

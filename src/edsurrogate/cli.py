@@ -2,13 +2,13 @@
 evaluation, and scatter export; and run_experiment, the one desk-experiment
 path that `tune`, the scripts and the acceptance tests share.
 
-Configuration comes from an optional JSON file with "dataset", "train",
-"recognizer" and "surrogate" sections layered over the desk presets; flags win
-over file values. Seeds layer the same way: the "dataset" or "train" section's
-own seed overrides the file's top-level seed, and --seed overrides both; the
-nets take the train seed unless their own section sets one. Every stream of
-randomness draws from these seeds, so rerunning a command with the same
-arguments reproduces its output files byte for byte.
+Every command builds its run from one training.RunSpec: an optional JSON file
+with "dataset", "train", "recognizer" and "surrogate" sections over the desk
+presets, and the flags over the file. RunSpec.read is the one place where seeds
+layer: a "dataset" or "train" section's own seed overrides the file's top-level
+seed, --seed overrides both, and the nets take the train seed unless their own
+section sets one. Every stream of randomness draws from these seeds, so a rerun
+with the same arguments reproduces its output files byte for byte.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, reject_unknown_keys
+from .errors import ConfigError
 from .evaluation import (
     evaluate_model,
     export_scatter,
@@ -32,21 +32,17 @@ from .evaluation import (
     write_metrics_csv,
 )
 from .recognizer import RecognizerConfig, RecognizerNet, load_recognizer, save_recognizer
-from .surrogate import SurrogateConfig
+from .surrogate import SurrogateNet
 from .synth_data import DatasetConfig, SplitCorpus, sample_corpus, save_dataset, split_corpus
 from .text_metrics import MetricsReport
 from .training import (
     PhaseLogRecord,
     PostTuningResult,
-    TrainConfig,
-    build_recognizer,
-    build_surrogate,
+    RunSpec,
     net_config,
     pretrain_recognizer,
     run_post_tuning,
 )
-
-_SECTIONS = ("dataset", "train", "recognizer", "surrogate")  # of a config file
 
 
 @dataclass
@@ -57,24 +53,19 @@ class ExperimentRun:
 
 
 def run_experiment(
-    cfg: TrainConfig,
-    dcfg: DatasetConfig,
+    spec: RunSpec,
     split: SplitCorpus,
     recognizer: RecognizerNet | None = None,
-    file_cfg: dict | None = None,
     out_dir: str | Path | None = None,
 ) -> ExperimentRun:
-    """The desk experiment: pretrain a recognizer unless one is given, score
-    it on the test split, post-tune it in place, and score it again.
-
-    file_cfg's "recognizer" and "surrogate" sections override the net
-    presets. With out_dir, the epoch checkpoints, log.csv and the tuned
-    net's metrics.csv are written there.
-    """
-    sections = file_cfg or {}
-    surrogate = build_surrogate(dcfg, cfg.seed, sections.get("surrogate"))
+    """The desk experiment: pretrain a recognizer of spec.recognizer unless
+    one is given, score it on the test split, post-tune it in place against
+    a fresh surrogate of spec.surrogate, and score it again. With out_dir,
+    the epoch checkpoints, log.csv and the tuned net's metrics.csv go there."""
+    dcfg, cfg = spec.dataset, spec.train
+    surrogate = SurrogateNet(spec.surrogate)
     if recognizer is None:
-        recognizer = build_recognizer(dcfg, cfg.seed, sections.get("recognizer"))
+        recognizer = RecognizerNet(spec.recognizer)
         pretrain_recognizer(split.train, recognizer, cfg, dcfg)
     baseline = evaluate_model(recognizer, split.test, dcfg.alphabet, dataset_id="test")
     result = run_post_tuning(cfg, dcfg, split, recognizer, surrogate, out_dir=out_dir)
@@ -85,28 +76,16 @@ def run_experiment(
     return ExperimentRun(baseline, tuned, result)
 
 
-def _configs(args) -> tuple[dict, DatasetConfig, TrainConfig]:
-    """The config file's contents, and the dataset and train configs: each
-    desk preset overridden in turn by the file's seed, its section and the
-    command's flags. Both net sections are built too, whichever the command
-    reads, so that any command reports a misspelled key or a bad value."""
-    data = {} if args.config is None else json.loads(Path(args.config).read_text(encoding="utf-8"))
-    if not isinstance(data, dict):
-        raise ConfigError("config file must hold a JSON object")
-    reject_unknown_keys("config", data, ("seed", *_SECTIONS))
-    for name in _SECTIONS:
-        if not isinstance(data.get(name, {}), dict):
-            raise ConfigError(f"config section {name!r} must be a JSON object")
-
-    def layered(section: str, *flags: str) -> dict:
-        given = {name: v for name in flags if (v := getattr(args, name, None)) is not None}
-        return {"seed": data.get("seed", 0), **data.get(section, {}), **given}
-
-    dcfg = DatasetConfig.desk(**layered("dataset", "seed"))
-    cfg = TrainConfig.desk(**layered("train", "seed", "mode", "epochs", "lam"))
-    for config_class, name in ((RecognizerConfig, "recognizer"), (SurrogateConfig, "surrogate")):
-        net_config(config_class, name, dcfg, dcfg.seed, data.get(name))
-    return data, dcfg, cfg
+def _configs(args) -> RunSpec:
+    """The run spec of the command's config file and flags, both net configs
+    included whichever the command reads, so any command reports a bad key or value."""
+    text = None if args.config is None else Path(args.config).read_text(encoding="utf-8")
+    try:
+        data = {} if text is None else json.loads(text)
+    except RecursionError:  # from json.loads only: elsewhere it is a bug
+        raise ConfigError(f"config file {args.config} nests too deeply") from None
+    train = {k: v for k in ("mode", "epochs", "lam") if (v := getattr(args, k, None)) is not None}
+    return RunSpec.read(data, args.seed, **train)
 
 
 def _load_recognizer(path: str, dcfg: DatasetConfig) -> RecognizerNet:
@@ -128,7 +107,7 @@ def _write_summary(out: Path, summary: str) -> None:
 
 
 def _cmd_gen_data(args) -> int:
-    _, dcfg, _ = _configs(args)
+    dcfg = _configs(args).dataset
     images = sample_corpus(dcfg)
     out = _out_dir(args)
     save_dataset(out, images, dcfg)
@@ -137,26 +116,26 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train_baseline(args) -> int:
-    file_cfg, dcfg, cfg = _configs(args)
-    split = split_corpus(sample_corpus(dcfg))
+    spec = _configs(args)
+    split = split_corpus(sample_corpus(spec.dataset))
     logs: list[PhaseLogRecord] = []
-    net = build_recognizer(dcfg, cfg.seed, file_cfg.get("recognizer"))
-    pretrain_recognizer(split.train, net, cfg, dcfg, logs)
+    net = RecognizerNet(spec.recognizer)
+    pretrain_recognizer(split.train, net, spec.train, spec.dataset, logs)
     out = _out_dir(args)
     save_recognizer(out / "baseline.bin", net)
     write_log_csv(out / "log.csv", logs)
-    report = evaluate_model(net, split.test, dcfg.alphabet, dataset_id="test")
+    report = evaluate_model(net, split.test, spec.dataset.alphabet, dataset_id="test")
     write_metrics_csv(out / "metrics.csv", report)
     _write_summary(out, format_summary(report))
     return 0
 
 
 def _cmd_tune(args) -> int:
-    file_cfg, dcfg, cfg = _configs(args)
-    split = split_corpus(sample_corpus(dcfg))
-    net = None if args.checkpoint is None else _load_recognizer(args.checkpoint, dcfg)
+    spec = _configs(args)
+    split = split_corpus(sample_corpus(spec.dataset))
+    net = None if args.checkpoint is None else _load_recognizer(args.checkpoint, spec.dataset)
     out = _out_dir(args)
-    run = run_experiment(cfg, dcfg, split, net, file_cfg, out)
+    run = run_experiment(spec, split, net, out)
     rel = relative_ted_improvement(run.baseline.ted, run.tuned.ted)
     summary = format_summary(run.tuned) + (
         f"\nted {run.baseline.ted} -> {run.tuned.ted} (relative improvement {rel:+.4f})"
@@ -166,7 +145,7 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    _, dcfg, _ = _configs(args)
+    dcfg = _configs(args).dataset
     net = _load_recognizer(args.checkpoint, dcfg)
     split = split_corpus(sample_corpus(dcfg))
     images = getattr(split, args.split)
@@ -178,14 +157,14 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_scatter(args) -> int:
-    _, _, cfg = _configs(args)
+    lam = _configs(args).train.lam
     logs = read_log_csv(args.log)
     if not logs:
         raise ValueError(f"{args.log} holds no log records")
     first = args.first_epoch
     last = args.last_epoch if args.last_epoch is not None else max(r.epoch for r in logs)
     out = _out_dir(args)
-    export_scatter(out / "scatter.csv", logs, first, last, cfg.lam)
+    export_scatter(out / "scatter.csv", logs, first, last, lam)
     print(f"wrote {out / 'scatter.csv'} for epochs [{first}, {last}]")
     return 0
 
@@ -193,7 +172,10 @@ def _cmd_scatter(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", help="JSON config file layered over the desk presets")
-    shared.add_argument("--seed", type=int, help="seed for every stream of randomness")
+    shared.add_argument(
+        "--seed", type=int, help="overrides the config file's top-level seed and its dataset "
+        "and train seeds; a recognizer or surrogate section's own seed still wins"
+    )
     shared.add_argument("--out", required=True, help="output directory")
 
     parser = argparse.ArgumentParser(

@@ -1,6 +1,6 @@
 """Alternating post-tuning: surrogate regression phases interleaved with
-filtered recognizer tuning, plus the optimizer and the factories that size
-fresh nets for a dataset.
+filtered recognizer tuning, plus the optimizer and RunSpec, the one checked
+description of a run, whose reader sizes both nets for the dataset.
 
 Modes: "feds" gates each recognizer update on the surrogate's per-sample
 approximation error; "lsed" trains without the gate and feeds the surrogate
@@ -365,20 +365,42 @@ def net_config(config_class, source: str, dcfg: DatasetConfig, seed: int, values
     return config_class(**{"seed": seed, **values})
 
 
-def build_recognizer(
-    dcfg: DatasetConfig, seed: int, overrides: dict | None = None
-) -> RecognizerNet:
-    """A fresh recognizer sized for dcfg's images and alphabet; overrides
-    holds a config file's "recognizer" section."""
-    return RecognizerNet(net_config(RecognizerConfig, "recognizer", dcfg, seed, overrides))
+@dataclass(frozen=True)
+class RunSpec:
+    """One run: its four checked configs. dataclasses.asdict of a spec is
+    JSON-ready, and RunSpec.read of that JSON gives the spec back."""
 
+    dataset: DatasetConfig
+    train: TrainConfig
+    recognizer: RecognizerConfig
+    surrogate: SurrogateConfig
 
-def build_surrogate(
-    dcfg: DatasetConfig, seed: int, overrides: dict | None = None
-) -> SurrogateNet:
-    """A fresh surrogate for dcfg's grids; overrides holds a config file's
-    "surrogate" section."""
-    return SurrogateNet(net_config(SurrogateConfig, "surrogate", dcfg, seed, overrides))
+    @classmethod
+    def read(cls, data, seed: int | None = None, **train) -> "RunSpec":
+        """The run that a config file's parsed JSON describes: the one place
+        where seeds layer. The dataset and train configs are their desk
+        presets overridden in turn by the file's top-level seed, their own
+        section, seed (when given) and, for train, the train flags. Both nets
+        are sized by net_config and take the train seed unless their own
+        section sets one."""
+        if not isinstance(data, dict):
+            raise ConfigError("config file must hold a JSON object")
+        sections = [f.name for f in fields(cls)]
+        reject_unknown_keys("config", data, ("seed", *sections))
+        for name in sections:
+            if not isinstance(data.get(name, {}), dict):
+                raise ConfigError(f"config section {name!r} must be a JSON object")
+        top, given = {"seed": data.get("seed", 0)}, {} if seed is None else {"seed": seed}
+        dcfg = DatasetConfig.desk(**{**top, **data.get("dataset", {}), **given})
+        cfg = TrainConfig.desk(**{**top, **data.get("train", {}), **given, **train})
+        rcfg = net_config(RecognizerConfig, "recognizer", dcfg, cfg.seed, data.get("recognizer"))
+        scfg = net_config(SurrogateConfig, "surrogate", dcfg, cfg.seed, data.get("surrogate"))
+        return cls(dcfg, cfg, rcfg, scfg)
+
+    @classmethod
+    def desk(cls, seed: int, **train) -> "RunSpec":
+        """The desk run for seed, with train's overrides of the train preset."""
+        return cls.read({}, seed, **train)
 
 
 def run_post_tuning(
@@ -392,7 +414,7 @@ def run_post_tuning(
     """epochs alternations of (surrogate phase, recognizer phase), starting
     from a pretrained recognizer and a freshly initialized surrogate."""
     if surrogate_net is None:
-        surrogate_net = build_surrogate(dcfg, cfg.seed)
+        surrogate_net = SurrogateNet(net_config(SurrogateConfig, "surrogate", dcfg, cfg.seed))
     logs: list[PhaseLogRecord] = []
     state_a = OptimizerState(surrogate_net.params)
     state_b = OptimizerState(recognizer.params)

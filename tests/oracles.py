@@ -7,10 +7,11 @@ two-row DP that the bit-parallel distance replaced, the gradient oracle is
 central finite differences, the grid oracles check and decode one grid, and
 one column, at a time, the kernel oracles are the np.where and
 broadcast-copy forms of autodiff's leaky ReLU, tile and softmax shift, the
-corpus oracles draw a word one letter at a time and render one image at a
-time on its own canvas, the PGM reader reads gen-data's files back, and the
-init oracles draw a fresh net's parameters one tensor at a time and assemble
-its checkpoint by hand.
+graph-walk oracle is backward's walk keyed by id(node), the corpus oracles
+draw a word one letter at a time and render one image at a time on its own
+canvas, the PGM reader reads gen-data's files back, and the init oracles
+draw a fresh net's parameters one tensor at a time and assemble its
+checkpoint by hand.
 
 The test-only forms: CharGrid, one checked grid, with grid_node to lay a
 list of them side by side as the surrogate takes its input; the 37-symbol
@@ -271,6 +272,32 @@ def broadcast_softmax_columns(a):
     shift = ad.DiffNode(np.broadcast_to(a.values.max(axis=0, keepdims=True), a.shape).copy())
     e = ad.exp(ad.sub(a, shift))
     return ad.div(e, ad.tile_axis(ad.sum_axis(e, 0), 0, a.shape[0]))
+
+
+def id_keyed_topo_order(root, wanted_ids):
+    """autodiff._topo_order with its sets keyed by id(node) and a per-parent
+    scan for an active parent: the active ids, and the active nodes that have
+    parents, parents first."""
+    order = []
+    active = set()
+    visited = set()
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            if id(node) in wanted_ids or any(id(p) in active for p in node.parents):
+                active.add(id(node))
+                if node.parents:
+                    order.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for parent in reversed(node.parents):
+            if id(parent) not in visited:
+                stack.append((parent, False))
+    return active, order
 
 
 def sample_word(cfg: DatasetConfig, rng) -> str:

@@ -36,13 +36,11 @@ from edsurrogate.surrogate import (
     embed,
     surrogate_loss_parts,
 )
-from edsurrogate.synth_data import DatasetConfig, sample_corpus, split_corpus
+from edsurrogate.synth_data import sample_corpus, split_corpus
 from edsurrogate.text_metrics import decode_greedy, edit_distance
 from edsurrogate.training import (
     OptimizerState,
-    TrainConfig,
-    build_recognizer,
-    build_surrogate,
+    RunSpec,
     pretrain_recognizer,
     run_post_tuning,
     train_surrogate_phase,
@@ -251,17 +249,18 @@ def _held_out_fit(images, recognizer, surrogate, dcfg) -> float:
 def test_criterion_4_surrogate_fit_on_held_out_pairs():
     with criterion(4, "surrogate fit after one phase"):
         start = time.perf_counter()
-        dcfg = DatasetConfig.desk(seed=0)
+        spec = RunSpec.desk(0, i_a=500, pretrain_iterations=500)
+        dcfg = spec.dataset
         assert dcfg.corpus_size == 5000
         split = split_corpus(sample_corpus(dcfg))
         # A half-trained recognizer leaves real error spread in the pairs.
         # A converged one decodes most samples exactly, and there a fresh
         # random embedding already scores near-zero |e_hat - e| for free,
         # leaving nothing for one phase to improve on held-out data.
-        cfg = TrainConfig.desk(seed=0, i_a=500, pretrain_iterations=500)
-        rnet = build_recognizer(dcfg, 0)
+        cfg = spec.train
+        rnet = RecognizerNet(spec.recognizer)
         pretrain_recognizer(split.train, rnet, cfg, dcfg)
-        snet = build_surrogate(dcfg, 0)
+        snet = SurrogateNet(spec.surrogate)
         before = _held_out_fit(split.val, rnet, snet, dcfg)
         train_surrogate_phase(
             split.train, rnet, snet, cfg, dcfg, 1, OptimizerState(snet.params), []
@@ -288,9 +287,9 @@ class DeskRun:
 def desk_runs() -> list[DeskRun]:
     runs = []
     for seed in range(5):
-        dcfg = DatasetConfig.desk(seed=seed)
-        cfg = TrainConfig.desk(seed=seed)
-        run = run_experiment(cfg, dcfg, split_corpus(sample_corpus(dcfg)))
+        spec = RunSpec.desk(seed)
+        cfg = spec.train
+        run = run_experiment(spec, split_corpus(sample_corpus(spec.dataset)))
         runs.append(
             DeskRun(
                 baseline=run.baseline,
@@ -328,12 +327,12 @@ def test_criterion_6_post_tuning_lowers_ted(desk_runs):
 
 def test_criterion_7_unfiltered_arm_differs(tmp_path):
     with criterion(7, "unfiltered arm open gate and distinct trajectory"):
-        dcfg = DatasetConfig.desk(corpus_size=300, seed=6)
+        train = dict(epochs=2, i_a=10, i_b=10, batch_size=8, pretrain_iterations=100)
+        spec = RunSpec.read({"seed": 6, "dataset": {"corpus_size": 300}, "train": train})
+        dcfg = spec.dataset
         split = split_corpus(sample_corpus(dcfg))
-        base_cfg = TrainConfig.desk(
-            seed=6, epochs=2, i_a=10, i_b=10, batch_size=8, pretrain_iterations=100
-        )
-        rnet = build_recognizer(dcfg, 6)
+        base_cfg = spec.train
+        rnet = RecognizerNet(spec.recognizer)
         pretrain_recognizer(split.train, rnet, base_cfg, dcfg)
         arrays = rnet.params.to_arrays()
 

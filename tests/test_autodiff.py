@@ -14,6 +14,7 @@ from .oracles import (
     broadcast_tile_axis,
     clip_max,
     finite_difference_gradient,
+    id_keyed_topo_order,
     l2_norm_eps,
     where_leaky_relu,
 )
@@ -478,6 +479,36 @@ def test_fan_out_accumulates_both_paths():
     y = ad.add(ad.square(x), ad.mul_const(x, 3.0))  # x^2 + 3x
     (grad,) = ad.backward(y, [x])
     assert float(grad.values) == pytest.approx(7.0)
+
+
+@st.composite
+def random_dags(draw):
+    """A root, wrt nodes and the nodes around them: variable and constant
+    leaves, then unary and binary ops whose parents are drawn from every
+    earlier node, so parents are shared, a parent can appear twice, and the
+    nodes after the root (and their leaves) are unreachable from it."""
+    variables = [ad.variable([[1.0]]) for _ in range(draw(st.integers(1, 4)))]
+    nodes = variables + [ad.constant([[1.0]]) for _ in range(draw(st.integers(0, 2)))]
+    for _ in range(draw(st.integers(0, 12))):
+        a, b = (draw(st.sampled_from(nodes)) for _ in range(2))
+        op = draw(st.sampled_from(["add", "mul", "square", "mul_const"]))
+        if op in ("add", "mul"):
+            nodes.append(getattr(ad, op)(a, b))
+        else:
+            nodes.append(ad.square(a) if op == "square" else ad.mul_const(a, 2.0))
+    root = ad.sum_all(draw(st.sampled_from(nodes)))
+    wrt = draw(st.lists(st.sampled_from(variables), max_size=5))
+    return root, wrt
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(random_dags())
+def test_graph_walk_keyed_by_node_equals_the_id_keyed_walk(dag):
+    root, wrt = dag
+    active, order = ad._topo_order(root, set(wrt))
+    oracle_active, oracle_order = id_keyed_topo_order(root, {id(node) for node in wrt})
+    assert {id(node) for node in active} == oracle_active
+    assert [id(node) for node in order] == [id(node) for node in oracle_order]
 
 
 def test_replay_is_bitwise_deterministic():

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from edsurrogate.cli import main
+from edsurrogate.cli import _configs, build_parser, main
 from edsurrogate.evaluation import (
     LOG_HEADER,
     read_log_csv,
@@ -128,6 +128,15 @@ def test_seed_flag_wins_over_config(workspace, tmp_path):
     assert cfg.seed == 9
 
 
+def test_seed_flag_overrides_dataset_and_train_seeds_but_not_a_net_section_seed(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"seed": 1, "recognizer": {"seed": 3}}), encoding="utf-8")
+    argv = ["tune", "--config", str(path), "--seed", "9", "--out", str(tmp_path / "t")]
+    spec = _configs(build_parser().parse_args(argv))
+    assert (spec.dataset.seed, spec.train.seed, spec.surrogate.seed) == (9, 9, 9)
+    assert spec.recognizer.seed == 3
+
+
 def test_evaluate_checkpoint(workspace, tmp_path):
     config = str(workspace / "config.json")
     out = tmp_path / "eval"
@@ -213,6 +222,15 @@ def test_non_object_config_fails(tmp_path, capsys):
     code = main(["gen-data", "--config", str(config), "--out", str(tmp_path / "d")])
     assert code == 2
     assert "JSON object" in capsys.readouterr().err
+
+
+def test_deeply_nested_config_is_one_error_line_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    depth = 100_000
+    path.write_text('{"train": ' + "[" * depth + "]" * depth + "}", encoding="utf-8")
+    assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "d")]) == 2
+    assert capsys.readouterr().err == f"error: config file {path} nests too deeply\n"
+    assert not (tmp_path / "d").exists()
 
 
 def test_unknown_mode_is_rejected(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import tempfile
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -29,10 +30,12 @@ from edsurrogate.synth_data import (
 from edsurrogate.text_metrics import edit_distance, evaluate_set
 from edsurrogate.training import (
     GENERATED_SAMPLE_INDEX,
+    MODES,
     PHASE_PRETRAIN,
     PHASE_RECOGNIZER,
     PHASE_SURROGATE,
     PhaseLogRecord,
+    RunSpec,
 )
 
 from . import oracles
@@ -182,6 +185,50 @@ def test_each_file_the_package_writes_reads_back(cfg, records, lam):
     assert [image.label for image in loaded] == labels
     for image, back in zip(images, loaded):
         assert np.max(np.abs(image.pixels - back.pixels)) <= 0.5 / 255.0 + 1e-12
+
+
+SEEDS = st.integers(0, 2**53)
+POSITIVE = st.floats(min_value=0, exclude_min=True, allow_infinity=False)
+COUNTS = st.integers(1, 10**6)
+TRAIN_SECTIONS = st.fixed_dictionaries(
+    {},
+    optional={
+        **dict.fromkeys(("i_a", "i_b", "epochs", "batch_size", "pretrain_iterations"), COUNTS),
+        **dict.fromkeys(("lam", "eta_a", "eta_b", "eta_pre"), POSITIVE),
+        "w2": st.floats(min_value=0, allow_infinity=False),
+        "mode": st.sampled_from(MODES),
+        "seed": SEEDS,
+    },
+)
+NET_KEYS = {
+    "channels": st.lists(st.integers(1, 64), min_size=1, max_size=5),
+    "kernel": st.integers(0, 3).map(lambda k: 2 * k + 1),
+    "slope": st.floats(0, 1),
+    "seed": SEEDS,
+}
+SURROGATE_KEYS = {  # the surrogate has five conv layers
+    **NET_KEYS,
+    "channels": st.lists(st.integers(1, 64), min_size=5, max_size=5),
+    "embedding_dim": COUNTS,
+    "hidden": COUNTS,
+}
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(
+    dataset_configs(),
+    TRAIN_SECTIONS,
+    st.fixed_dictionaries({}, optional=NET_KEYS),
+    st.fixed_dictionaries({}, optional=SURROGATE_KEYS),
+    st.none() | SEEDS,
+)
+def test_a_run_spec_reads_back_from_its_json(dcfg, train, recognizer, surrogate, seed):
+    """dataclasses.asdict of a spec read from any valid sections is
+    JSON-ready, and reading that JSON gives the same spec back."""
+    data = {"dataset": asdict(dcfg), "train": train, "recognizer": recognizer}
+    data |= {"surrogate": surrogate} if seed is None else {"surrogate": surrogate, "seed": seed}
+    spec = RunSpec.read(data)
+    assert RunSpec.read(json.loads(json.dumps(asdict(spec)))) == spec
 
 
 def test_pair_generator_is_unchanged_with_the_per_letter_word_oracle(monkeypatch):

@@ -15,10 +15,9 @@ from edsurrogate.surrogate import SurrogateConfig, SurrogateNet, embed
 from edsurrogate.synth_data import DatasetConfig, sample_corpus, split_corpus
 from edsurrogate.training import (
     OptimizerState,
+    RunSpec,
     TrainConfig,
     adadelta_step,
-    build_recognizer,
-    build_surrogate,
     filtered_str_loss_parts,
     pretrain_recognizer,
     run_post_tuning,
@@ -40,7 +39,8 @@ from .oracles import (
     where_leaky_relu,
 )
 
-DCFG = DatasetConfig.desk(corpus_size=60)
+SPEC = RunSpec.read({"dataset": {"corpus_size": 60}})
+DCFG = SPEC.dataset
 RCFG = RecognizerConfig(
     alphabet_size=9, capacity=8, image_height=12, image_width=32, channels=(8, 8)
 )
@@ -93,13 +93,14 @@ def test_desk_presets_take_only_seeds_a_checkpoint_holds_exactly(preset):
 
 
 def test_net_factories_size_nets_for_the_dataset_and_apply_overrides():
-    rnet = build_recognizer(DCFG, 4, {"channels": [8]})
-    assert rnet.config == RecognizerConfig(
+    spec = RunSpec.read(
+        {"seed": 4, "recognizer": {"channels": [8]}, "surrogate": {"hidden": 16}}
+    )
+    assert spec.recognizer == RecognizerConfig(
         alphabet_size=9, capacity=8, image_height=12, image_width=32, channels=(8,), seed=4
     )
-    snet = build_surrogate(DCFG, 4, {"hidden": 16})
-    assert snet.config == SurrogateConfig(alphabet_size=9, capacity=8, hidden=16, seed=4)
-    assert build_surrogate(DCFG, 4).config == SurrogateConfig(alphabet_size=9, capacity=8, seed=4)
+    assert spec.surrogate == SurrogateConfig(alphabet_size=9, capacity=8, hidden=16, seed=4)
+    assert RunSpec.desk(4).surrogate == SurrogateConfig(alphabet_size=9, capacity=8, seed=4)
 
 
 def test_default_lambda_in_stated_range():
@@ -362,7 +363,7 @@ TUNE_STEP_NODES = 152
 def test_desk_steps_stay_within_their_graph_budget(monkeypatch):
     split = split_corpus(sample_corpus(DCFG))
     cfg = TrainConfig.desk(i_a=1, i_b=1, mode="feds")
-    recognizer, surrogate_net = build_recognizer(DCFG, 0), build_surrogate(DCFG, 0)
+    recognizer, surrogate_net = RecognizerNet(SPEC.recognizer), SurrogateNet(SPEC.surrogate)
     built = [0]
     init = ad.DiffNode.__init__
 
@@ -389,7 +390,7 @@ def test_desk_steps_decode_and_check_their_batch_once(monkeypatch):
     split = split_corpus(sample_corpus(DCFG))
     cfg = TrainConfig.desk(pretrain_iterations=1, i_a=1, i_b=1, mode="feds")
     assert cfg.batch_size == 16
-    recognizer, surrogate_net = build_recognizer(DCFG, 0), build_surrogate(DCFG, 0)
+    recognizer, surrogate_net = RecognizerNet(SPEC.recognizer), SurrogateNet(SPEC.surrogate)
     calls = Counter()
 
     def count_calls(module, name):
@@ -419,7 +420,7 @@ def test_desk_steps_check_finiteness_once_per_result(monkeypatch):
     # of each parameter's gradient and one of each parameter it assigns.
     split = split_corpus(sample_corpus(DCFG))
     cfg = TrainConfig.desk(i_a=1, i_b=1, mode="feds")
-    recognizer, surrogate_net = build_recognizer(DCFG, 0), build_surrogate(DCFG, 0)
+    recognizer, surrogate_net = RecognizerNet(SPEC.recognizer), SurrogateNet(SPEC.surrogate)
     checks = [0]
     all_finite = ad.all_finite
 
@@ -442,7 +443,7 @@ def test_each_step_releases_its_graph_before_the_next_backward(monkeypatch):
     # node; at every backward, the loss of each earlier step must be gone.
     split = split_corpus(sample_corpus(DCFG))
     cfg = TrainConfig.desk(i_a=3, i_b=3, mode="feds")
-    recognizer, surrogate_net = build_recognizer(DCFG, 0), build_surrogate(DCFG, 0)
+    recognizer, surrogate_net = RecognizerNet(SPEC.recognizer), SurrogateNet(SPEC.surrogate)
     losses, live_earlier = [], []
 
     def watch(module, name):
